@@ -61,17 +61,6 @@ def _check_instance(r: int, n: int) -> None:
         raise ValueError(f"instance exceeds the 2**64 scan domain: (r={r}, n={n})")
 
 
-@dataclass(frozen=True)
-class Instance:
-    """One (r, n) pair naming the sum s_lower(r, n)."""
-
-    r: int
-    n: int
-
-    def __post_init__(self):
-        _check_instance(self.r, self.n)
-
-
 def s_lower(r: int, n: int, *, cutoff: int = ORACLE_CUTOFF) -> Fraction:
     """Exact value of sum_{k=1..n} k/(k+r) * C(n, k)."""
     _check_instance(r, n)

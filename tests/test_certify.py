@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from binsum.certify import (
     CertifiedNonintegral,
     ClassifyBudget,
-    Instance,
     OracleNonintegral,
     OrderCertificate,
     SmoothBound,
@@ -68,9 +67,9 @@ def test_cutoffs_are_enforced():
 
 def test_instance_validation():
     with pytest.raises(ValueError):
-        Instance(0, 5)
+        classify(0, 5)
     with pytest.raises(ValueError):
-        Instance(5, 0)
+        classify(5, 0)
     with pytest.raises(ValueError):
         s_lower(0, 5)
 

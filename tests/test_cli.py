@@ -1,6 +1,10 @@
 import csv
 import json
+import re
 from fractions import Fraction
+from pathlib import Path
+
+import pytest
 
 from binsum.certify import OracleIntegral
 from binsum.cli import main
@@ -165,3 +169,110 @@ def test_gaps_record(capsys):
     rec = json.loads(capsys.readouterr().out)
     assert rec == {"n": "113", "next_prime": "127", "gap": "14",
                    "gap20_vs_n": "gt", "gap11_vs_n": "gt"}
+
+
+# Expected bytes for every (command, format) pair the CLI offers, recorded
+# from the CLI at commit febf4bd, before its handlers shared one output
+# path.  There, each case wrote the same bytes to stdout and to --out.
+GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
+TIMING = re.compile(r"\(\d+\.\d\ds\)")
+
+
+@pytest.mark.parametrize("dest", ["stdout", "out"])
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_golden_output(case, dest, tmp_path, capsys):
+    want = GOLDEN[case]
+    argv = want["argv"].split()
+    path = tmp_path / "records"
+    if dest == "out":
+        argv += ["--out", str(path)]
+    assert run_cli(argv) == want["rc"]
+    got = capsys.readouterr()
+    assert TIMING.sub("(T)", got.err) == want["stderr"]
+    if dest == "out":
+        assert got.out == ""
+        assert path.read_bytes() == want["stdout"].encode()
+    else:
+        assert got.out == want["stdout"]
+
+
+def test_identity_exit_1_on_violation(monkeypatch, capsys):
+    import binsum.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod, "complement_check", lambda r, n: (r, n) != (2, 3))
+    assert run_cli(["identity", "--r-max", "2", "--n-max", "3"]) == 1
+    got = capsys.readouterr()
+    assert "1 violations" in got.err
+    assert [json.loads(line)["complement_ok"] for line in got.out.splitlines()].count(False) == 1
+
+
+@pytest.mark.parametrize("command", [
+    ["oracle", "--r", "1", "--n", "5"],
+    ["identity", "--r-max", "1", "--n-max", "1"],
+    ["lemma2", "--r", "100"],
+    ["census", "--t", "10000"],
+    ["msmooth", "--r", "3", "--n-max", "10"],
+    ["gaps", "--n", "113"],
+], ids=lambda argv: argv[0])
+def test_csv_rejected_where_records_do_not_fit(command, capsys):
+    assert run_cli(command + ["--format", "csv"]) == 2
+    assert "invalid choice: 'csv'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--r", "4", "--n-start", "1", "--n-end", "30", "--format", "csv"],
+    ["scan", "--r", "4", "--n-start", "1", "--n-end", "30", "--format", "human"],
+    ["census", "--t", "100"],
+], ids=["scan-csv", "scan-human", "census"])
+def test_out_never_overwrites_records(argv, tmp_path, capsys):
+    path = tmp_path / "scan.jsonl"
+    assert run_cli(["scan", "--r", "4", "--n-start", "1", "--n-end", "30", "--out", str(path)]) == 0
+    before = path.read_bytes()
+    assert run_cli(argv + ["--out", str(path)]) == 2
+    assert "refusing to overwrite" in capsys.readouterr().err
+    assert path.read_bytes() == before
+
+
+def test_rejected_call_creates_no_file(tmp_path):
+    path = tmp_path / "never.jsonl"
+    top = 2**64 - 4
+    assert run_cli(["scan", "--r", "4", "--n-start", str(top - 10), "--n-end", str(top), "--out", str(path)]) == 2
+    assert run_cli(["scan", "--r", "0", "--n-start", "1", "--n-end", "5", "--out", str(path)]) == 2
+    assert not path.exists()
+
+
+def test_scan_resume_drops_torn_final_line(tmp_path, capsys):
+    full = tmp_path / "full.jsonl"
+    partial = tmp_path / "part.jsonl"
+    base = ["scan", "--r", "4", "--n-start", "1", "--n-end", "300", "--threads", "1"]
+    assert run_cli(base + ["--out", str(full)]) == 0
+    lines = full.read_bytes().splitlines(keepends=True)
+    partial.write_bytes(b"".join(lines[:120]) + lines[120][: len(lines[120]) // 2])
+    capsys.readouterr()
+    assert run_cli(base + ["--out", str(partial)]) == 0
+    assert "part.jsonl:121: dropping a torn final line" in capsys.readouterr().err
+    assert partial.read_bytes() == full.read_bytes()
+
+
+def test_benchmark_tracer_layers_resolve_and_fire(tmp_path, monkeypatch):
+    # perfbench patches these names where the CLI looks them up; a layer
+    # that stops resolving, or is bypassed, silently loses its metrics.
+    monkeypatch.syspath_prepend(str(Path(__file__).parent.parent / "perfbench"))
+    import binsum.cli as cli_mod
+    import tracer as tracer_mod
+
+    for hook in ("classify", "small_order_census"):  # the set-up probes
+        assert callable(getattr(cli_mod, hook))
+    tracer = tracer_mod.Tracer()
+    tracer.install(tracer_mod.FULL_LAYERS + tracer_mod.POOL_LAYERS)
+    try:
+        assert tracer.missing == []
+        out = tmp_path / "scan.jsonl"
+        assert run_cli(["scan", "--r", "7", "--n-start", "1", "--n-end", "20", "--threads", "1", "--out", str(out)]) == 0
+        assert run_cli(["census", "--t", "100", "--out", str(tmp_path / "census.jsonl")]) == 0
+        assert run_cli(["oracle", "--r", "1", "--n", "5", "--out", str(tmp_path / "oracle.jsonl")]) == 0
+    finally:
+        tracer.restore()
+    fired = {tracer.names[i] for i in tracer.name_of}
+    assert {"certify.classify", "cli.chunk", "cli.write", "records.serialize",
+            "experiments.small_order_census", "certify.s_lower"} <= fired
