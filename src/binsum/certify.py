@@ -25,7 +25,9 @@ since the two differ by the integer 2**n):
   divides neither r nor C(r-1, j-1) (all prime factors of that binomial
   are < r < p), and p does not divide 2**(n+j) - 1 because the order of 2
   mod p does not divide the exponent; so that single term has negative
-  p-valuation and s_upper cannot be an integer.
+  p-valuation and s_upper cannot be an integer.  The order condition is
+  checked as pow(2, n + j, p) != 1, which is equivalent (see
+  OrderCertificate).
 * SmoothBound: the minimum M over 1 <= j <= r of the largest r-smooth
   divisor of n + j, with 2**M <= r.
 
@@ -41,7 +43,16 @@ from functools import reduce
 from math import lcm
 from typing import Optional, Union
 
-from .ntheory import U64_LIMIT, _factorize, is_prime, iter_primes, order2, smooth_divisor
+from .ntheory import (
+    U64_LIMIT,
+    _TRIAL_LIMIT,
+    _factorize,
+    is_prime,
+    iter_primes,
+    order2,  # not called here; kept as the name the benchmark tracer patches on this module
+    primes_upto,
+    smooth_divisor,
+)
 
 # Cost guard for direct summation; C(n, k) and the lcm of the denominators
 # grow superexponentially in n.
@@ -132,7 +143,15 @@ class SylvesterPrime:
 @dataclass(frozen=True)
 class OrderCertificate:
     """Odd prime p > r with p | n + j and order2(p) not dividing n + j: the
-    j-th closed-form term alone has negative p-valuation."""
+    j-th closed-form term alone has negative p-valuation.
+
+    verify tests the order condition as pow(2, n + j, p) != 1, with no
+    factorization of p - 1.  Proof that ord | m <=> 2**m == 1 (mod p), with
+    ord = order2(p) and m = n + j, all congruences mod p: write
+    m = q * ord + s with 0 <= s < ord, so 2**m = (2**ord)**q * 2**s == 2**s.
+    If ord | m then s = 0 and 2**m == 1.  If 2**m == 1 then 2**s == 1, and
+    as ord is the least positive exponent with that property, s = 0.
+    """
 
     p: int
     j: int
@@ -143,7 +162,7 @@ class OrderCertificate:
             return False
         if (n + self.j) % self.p != 0 or not is_prime(self.p):
             return False
-        return (n + self.j) % order2(self.p) != 0
+        return pow(2, n + self.j, self.p) != 1
 
 
 @dataclass(frozen=True)
@@ -217,8 +236,27 @@ def sylvester_certificate(r: int, n: int) -> Optional[SylvesterPrime]:
 
 def order_certificate(r: int, n: int) -> Optional[OrderCertificate]:
     """Smallest odd prime p > r dividing some n + j (1 <= j <= r) with
-    order2(p) not dividing n + j, with its (unique) j, or None."""
+    order2(p) not dividing n + j, with its (unique) j, or None.
+
+    The order condition is tested as pow(2, n + j, p) != 1 (see
+    OrderCertificate for the equivalence).
+
+    Fast path: walk the odd primes q in (r, _TRIAL_LIMIT) ascending.  As
+    q > r, at most one n + j (1 <= j <= r) is a multiple of q: the one with
+    j = (-n mod q) or q, provided j <= r.  The first q that qualifies is the
+    smallest qualifying prime overall: the smaller odd primes above r were
+    examined and failed, 2 and the primes <= r never qualify, and every
+    prime not examined is >= _TRIAL_LIMIT > q.  Only when none qualifies
+    does the search factor every n + j.  That search is complete on its own
+    and is the reference the tests compare the fast path against.
+    """
     _check_instance(r, n)
+    for q in primes_upto(_TRIAL_LIMIT):
+        if q == 2 or q <= r:
+            continue
+        j = -n % q or q
+        if j <= r and pow(2, n + j, q) != 1:
+            return OrderCertificate(p=q, j=j)
     best: Optional[tuple[int, int]] = None
     for j in range(1, r + 1):
         v = n + j
@@ -227,7 +265,7 @@ def order_certificate(r: int, n: int) -> Optional[OrderCertificate]:
                 continue
             if best is not None and q >= best[0]:
                 continue
-            if v % order2(q) != 0:
+            if pow(2, v, q) != 1:
                 best = (q, j)
     return OrderCertificate(p=best[0], j=best[1]) if best else None
 

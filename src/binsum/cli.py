@@ -29,6 +29,8 @@ import time
 from typing import Callable, Iterable, Optional, TextIO
 
 from .certify import (
+    CLOSED_FORM_CUTOFF,
+    ORACLE_CUTOFF,
     ClassifyBudget,
     OracleIntegral,
     _check_instance,
@@ -185,6 +187,10 @@ def _cmd_oracle(args) -> _Output:
 def _cmd_identity(args) -> _Output:
     r_max = _positive("r-max", args.r_max)
     n_max = _positive("n-max", args.n_max)
+    if r_max > CLOSED_FORM_CUTOFF:
+        raise ValueError(f"r-max={r_max} exceeds the closed-form cutoff {CLOSED_FORM_CUTOFF}")
+    if n_max > ORACLE_CUTOFF:
+        raise ValueError(f"n-max={n_max} exceeds the evaluation cutoff {ORACLE_CUTOFF}")
     bad = 0
 
     def records():

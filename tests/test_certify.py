@@ -22,7 +22,8 @@ from binsum.certify import (
     smooth_certificate,
     sylvester_certificate,
 )
-from binsum.ntheory import factorize, order2
+from binsum import certify, ntheory
+from binsum.ntheory import _TRIAL_LIMIT, factorize, order2
 
 
 def test_s_lower_examples():
@@ -150,21 +151,61 @@ def test_order_certificate_examples():
     assert order_certificate(1, 5) is None  # 6 = 2 * 3 and order2(3) | 6
 
 
-def test_order_certificate_smallest_prime_then_index():
+def brute_order_certificate(r, n):
+    """(p, j) of the smallest qualifying prime, found by factoring every n + j
+    and computing order2; None when no prime qualifies."""
+    candidates = [
+        (p, j)
+        for j in range(1, r + 1)
+        for p, _ in factorize(n + j)
+        if p != 2 and p > r and (n + j) % order2(p) != 0
+    ]
+    return min(candidates, default=None)
+
+
+def order_cases():
     rng = random.Random(13)
     for _ in range(150):
-        r, n = rng.randrange(1, 40), rng.randrange(1, 2000)
-        candidates = [
-            (p, j)
-            for j in range(1, r + 1)
-            for p, _ in factorize(n + j)
-            if p != 2 and p > r and (n + j) % order2(p) != 0
-        ]
+        yield rng.randrange(1, 40), rng.randrange(1, 2000)
+    for band in (10**12, 2**62):  # the scan bands: the small-prime walk decides almost all
+        for _ in range(40):
+            yield rng.randrange(1, 40), band + rng.randrange(10**9)
+    # r straddling _TRIAL_LIMIT: the walk has only 991 and 997, then nothing
+    for r in range(990, 1011):
+        yield r, rng.randrange(1, 4000)
+    for r in (995, 1003):
+        yield r, 10**12 + rng.randrange(10**9)
+
+
+def test_order_certificate_smallest_prime_then_index():
+    paths = set()
+    for r, n in order_cases():
+        expected = brute_order_certificate(r, n)
         cert = order_certificate(r, n)
-        if candidates:
-            assert (cert.p, cert.j) == min(candidates)
+        if expected is None:
+            assert cert is None, (r, n)
         else:
-            assert cert is None
+            assert (cert.p, cert.j) == expected, (r, n)
+            paths.add(cert.p < _TRIAL_LIMIT)
+    assert paths == {True, False}  # both the walk and the factoring search decided cases
+
+
+def test_order_search_needs_no_factorization_of_p_minus_1(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("called")
+
+    for module in (certify, ntheory):
+        monkeypatch.setattr(module, "order2", refuse)
+    # the fallback and verify test pow(2, n + j, p) and never factor p - 1
+    cert = order_certificate(1000, 5000)
+    assert cert.p > 1000 and cert.verify(1000, 5000)
+    # at 10**12 the small-prime walk decides without factoring any n + j
+    for module in (certify, ntheory):
+        monkeypatch.setattr(module, "_factorize", refuse)
+    n = 10**12 + 109815
+    outcome = classify(7, n)
+    assert outcome.certificate == OrderCertificate(p=41, j=6)
+    assert outcome.certificate.verify(7, n)
 
 
 def test_order_verify_rejects_forgeries():

@@ -238,6 +238,8 @@ def test_rejected_call_creates_no_file(tmp_path):
     top = 2**64 - 4
     assert run_cli(["scan", "--r", "4", "--n-start", str(top - 10), "--n-end", str(top), "--out", str(path)]) == 2
     assert run_cli(["scan", "--r", "0", "--n-start", "1", "--n-end", "5", "--out", str(path)]) == 2
+    assert run_cli(["identity", "--r-max", "201", "--n-max", "1", "--out", str(path)]) == 2
+    assert run_cli(["identity", "--r-max", "1", "--n-max", "3001", "--out", str(path)]) == 2
     assert not path.exists()
 
 

@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from binsum import ntheory
 from binsum.ntheory import (
     U64_LIMIT,
     factorize,
@@ -196,3 +197,52 @@ def test_iter_primes_spans_segments():
     assert list(iter_primes(1, 10**6))[:5] == [2, 3, 5, 7, 11]
     big = 1 << 19  # wider than one sieving segment
     assert list(iter_primes(3, big)) == primes_in(3, big)
+
+
+def plain_primes_in(a, b):
+    """Primes in [a, b] by a plain sieve of Eratosthenes: base primes from a
+    bytearray sieve up to isqrt(b), then their multiples struck from the window."""
+    root = math.isqrt(b)
+    flags = bytearray([1]) * (root + 1)
+    flags[:2] = b"\x00\x00"
+    for p in range(2, math.isqrt(root) + 1):
+        if flags[p]:
+            flags[p * p :: p] = bytes(len(flags[p * p :: p]))
+    window = bytearray([1]) * (b - a + 1)
+    for p in (i for i, f in enumerate(flags) if f):
+        start = max(p * p, -(-a // p) * p)
+        window[start - a :: p] = bytes(len(window[start - a :: p]))
+    return [a + i for i, f in enumerate(window) if f and a + i >= 2]
+
+
+@pytest.mark.parametrize("n", [10**6, 10**9, 10**12])
+def test_primes_in_paths_agree_around_the_switch(n, monkeypatch):
+    # the per-candidate tests and the sieve give the same primes on windows
+    # on both sides of the width where primes_in switches between them
+    def per_candidate(width):
+        root = math.isqrt(n + 1 + width)
+        return width * ntheory._NARROW_FACTOR * root.bit_length() < root
+
+    switch = max(w for w in range(1, 10**5) if per_candidate(w))
+    sieved = []
+    real_primes_upto = ntheory.primes_upto
+    monkeypatch.setattr(ntheory, "primes_upto", lambda m: sieved.append(m) or real_primes_upto(m))
+    for width in (1, 6, switch - 2, switch - 1, switch, switch + 1, switch + 2, 2 * switch):
+        a, b = n + 1, n + 1 + width
+        expected = plain_primes_in(a, b)
+        root = math.isqrt(b)
+        assert ntheory._test_window(a, b) == expected, (n, width)
+        assert ntheory._sieve_window(a, b, root) == expected, (n, width)
+        sieved.clear()
+        assert primes_in(a, b) == expected, (n, width)
+        assert bool(sieved) != per_candidate(width), (n, width, sieved)
+
+
+def test_narrow_window_at_1e12_builds_no_base_primes(monkeypatch):
+    calls = []
+    real_primes_upto = ntheory.primes_upto
+    monkeypatch.setattr(ntheory, "primes_upto", lambda m: calls.append(m) or real_primes_upto(m))
+    a = 10**12
+    assert primes_in(a, a + 7) == plain_primes_in(a, a + 7)
+    assert list(iter_primes(a + 1, a + 7)) == primes_in(a + 1, a + 7)
+    assert not [m for m in calls if m > 10**5], calls
