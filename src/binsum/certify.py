@@ -48,7 +48,6 @@ from .ntheory import (
     _TRIAL_LIMIT,
     _factorize,
     is_prime,
-    iter_primes,
     order2,  # not called here; kept as the name the benchmark tracer patches on this module
     primes_upto,
     smooth_divisor,
@@ -220,18 +219,33 @@ def sylvester_certificate(r: int, n: int) -> Optional[SylvesterPrime]:
     """Smallest prime p > n dividing some k + r (1 <= k <= n), with the
     smallest such k, or None.
 
-    A prime p > n divides some value in [r+1, r+n] iff p itself lies in
-    (n, n+r] and has a multiple in the window, so the search walks primes
-    upward from n + 1 and stops at the first hit.  For r >= n a hit always
-    exists: a product of n consecutive integers all exceeding n has a
-    prime factor above n.
+    A prime p > n divides at most one of the n consecutive values r+1..r+n,
+    and it divides one iff its least multiple >= r + 1 is <= r + n, which
+    needs p <= n + r.  The walk tests q = n+1, n+2, ... with is_prime and
+    returns the first prime with a multiple in the window: every smaller
+    candidate was examined and failed.
+
+    The walk stops at min(n + r, 2n + _TRIAL_LIMIT), so it makes O(n)
+    primality tests even when r is far above n.  The cap is below n + r only
+    when r > n + _TRIAL_LIMIT.  If the walk finds nothing then, a search
+    factors every r + k and takes the smallest prime factor above n, with
+    its k.  That search sees every prime > n dividing the window, so it
+    returns the same minimum as an uncapped walk.  It always finds one, by
+    Sylvester-Schur: for r >= n the product of the n consecutive integers
+    r+1..r+n, all above n, has a prime factor above n.  For the same reason
+    the uncapped walk (r <= n + _TRIAL_LIMIT) returns None only when r < n
+    and (n, n + r] holds no prime.
     """
     _check_instance(r, n)
-    for q in iter_primes(n + 1, n + r):
-        first = (r + q) // q * q  # least multiple of q that is >= r + 1
-        if first <= r + n:
-            return SylvesterPrime(p=q, k0=first - r)
-    return None
+    for q in range(n + 1, min(n + r, 2 * n + _TRIAL_LIMIT) + 1):
+        if is_prime(q):
+            first = (r + q) // q * q  # least multiple of q that is >= r + 1
+            if first <= r + n:
+                return SylvesterPrime(p=q, k0=first - r)
+    if r <= n + _TRIAL_LIMIT:
+        return None
+    p, v = min((q, v) for v in range(r + 1, r + n + 1) for q, _ in _factorize(v) if q > n)
+    return SylvesterPrime(p=p, k0=v - r)
 
 
 def order_certificate(r: int, n: int) -> Optional[OrderCertificate]:
@@ -291,7 +305,6 @@ class ClassifyBudget:
     """Work limits for classify(); results are deterministic per budget."""
 
     oracle_cutoff: int = ORACLE_CUTOFF
-    cert_search_limit: int = 10_000  # max r for the order/smooth searches
 
 
 DEFAULT_BUDGET = ClassifyBudget()
@@ -306,9 +319,9 @@ def classify(r: int, n: int, budget: ClassifyBudget = DEFAULT_BUDGET) -> Classif
     """
     _check_instance(r, n)
     cert: Optional[Certificate] = sylvester_certificate(r, n)
-    if cert is None and r <= budget.cert_search_limit:
+    if cert is None:
         cert = order_certificate(r, n)
-    if cert is None and r <= budget.cert_search_limit:
+    if cert is None:
         cert = smooth_certificate(r, n)
     if cert is not None:
         return CertifiedNonintegral(certificate=cert)
@@ -317,9 +330,4 @@ def classify(r: int, n: int, budget: ClassifyBudget = DEFAULT_BUDGET) -> Classif
         if value.denominator == 1:
             return OracleIntegral(value=value)
         return OracleNonintegral(value=value)
-    return Undecided(
-        reason=(
-            f"no certificate (search limit r<={budget.cert_search_limit}); "
-            f"n exceeds oracle cutoff {budget.oracle_cutoff}"
-        )
-    )
+    return Undecided(reason=f"no certificate; n exceeds oracle cutoff {budget.oracle_cutoff}")

@@ -229,8 +229,8 @@ def scan_density(
 ) -> ScanReport:
     """Classify every n in [n_lo, n_hi] and tally the outcomes.
 
-    The aggregate is deterministic and independent of how the range is
-    partitioned (see merge_reports).
+    The aggregate is deterministic: splitting the range and summing the
+    parts' counts gives the counts of the whole.
     """
     if n_lo > n_hi:
         raise ValueError(f"empty scan range [{n_lo}, {n_hi}]")
@@ -262,29 +262,6 @@ def scan_density(
         undecided=undecided,
         undecided_cap=undecided_cap,
         elapsed=time.perf_counter() - t0,
-    )
-
-
-def merge_reports(a: ScanReport, b: ScanReport) -> ScanReport:
-    """Combine reports over adjacent ranges of the same r (either order)."""
-    if a.r != b.r:
-        raise ValueError("cannot merge reports for different r")
-    if a.undecided_cap != b.undecided_cap:
-        raise ValueError("cannot merge reports with different undecided caps")
-    if b.n_hi + 1 == a.n_lo:
-        a, b = b, a
-    if a.n_hi + 1 != b.n_lo:
-        raise ValueError(f"ranges [{a.n_lo},{a.n_hi}] and [{b.n_lo},{b.n_hi}] are not adjacent")
-    return ScanReport(
-        r=a.r,
-        n_lo=a.n_lo,
-        n_hi=b.n_hi,
-        counts={k: a.counts.get(k, 0) + b.counts.get(k, 0) for k in CLASSIFICATION_KINDS},
-        cert_counts={k: a.cert_counts.get(k, 0) + b.cert_counts.get(k, 0) for k in CERTIFICATE_KINDS},
-        integral_witnesses=a.integral_witnesses + b.integral_witnesses,
-        undecided=(a.undecided + b.undecided)[: a.undecided_cap],
-        undecided_cap=a.undecided_cap,
-        elapsed=a.elapsed + b.elapsed,
     )
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import lru_cache
 
 U64_LIMIT = 1 << 64
@@ -146,13 +145,6 @@ def factorize(m: int) -> list[tuple[int, int]]:
     return list(_factorize(m))
 
 
-def largest_prime_factor(m: int) -> int:
-    """Largest prime dividing m (m >= 2)."""
-    if m < 2:
-        raise ValueError(f"largest_prime_factor needs m >= 2: got {m}")
-    return factorize(m)[-1][0]
-
-
 @lru_cache(maxsize=1 << 16)
 def order2(p: int) -> int:
     """Multiplicative order of 2 modulo an odd prime p: the least t >= 1
@@ -170,19 +162,6 @@ def order2(p: int) -> int:
         while t % q == 0 and pow(2, t // q, p) == 1:
             t //= q
     return t
-
-
-@dataclass(frozen=True)
-class PrimeRecord:
-    """An odd prime bundled with the order of 2 and the factored p - 1."""
-
-    p: int
-    order2: int
-    pminus1: tuple[tuple[int, int], ...]
-
-
-def prime_record(p: int) -> PrimeRecord:
-    return PrimeRecord(p=p, order2=order2(p), pminus1=_factorize(p - 1))
 
 
 def smooth_divisor(r: int, m: int) -> int:
@@ -222,9 +201,7 @@ def primes_in(a: int, b: int, *, window_limit: int = WINDOW_LIMIT) -> list[int]:
     where one sieve pass costs ~30 ms.  The rule switches at 3, 24, 178,
     1470 and 12499: at the crossover for roots >= 10**5, and earlier
     (keeping the sieve) below, where both paths cost under a millisecond
-    and a call's fixed costs favour testing.  Classifying r = 7 at
-    n = 10**12 tests width-6 windows; r = 23 at n <= 10**5 sieves its
-    width-22 windows (root <= 322).
+    and a call's fixed costs favour testing.
     """
     if not 1 <= a <= b < U64_LIMIT:
         raise ValueError(f"primes_in needs 1 <= a <= b < 2**64: got [{a}, {b}]")
@@ -267,16 +244,3 @@ def _sieve_window(a: int, b: int, root: int) -> list[int]:
         out.extend(lo + i for i, f in enumerate(seg) if f)
         lo = hi + 1
     return out
-
-
-def iter_primes(a: int, b: int):
-    """Yield primes in [a, b] ascending, sieving one segment at a time.
-
-    Unlike primes_in this has no window cap, so it suits early-exit
-    searches over potentially wide ranges.
-    """
-    lo = a
-    while lo <= b:
-        hi = min(lo + _SEGMENT - 1, b)
-        yield from primes_in(lo, hi)
-        lo = hi + 1

@@ -1,4 +1,6 @@
+import math
 import random
+import signal
 from fractions import Fraction
 
 import pytest
@@ -106,21 +108,68 @@ def test_sylvester_composite_multiple():
     assert cert.verify(100, 2)
 
 
-def test_sylvester_smallest_prime_then_smallest_index():
+def brute_sylvester_certificate(r, n):
+    """(p, k0) of the smallest prime p > n dividing some k + r (1 <= k <= n),
+    found by factoring every k + r that can hold one; None when none does.
+    As p <= k + r, only k > n - r are factored."""
+    candidates = [
+        (p, k)
+        for k in range(max(1, n - r + 1), n + 1)
+        for p, _ in factorize(k + r)
+        if p > n
+    ]
+    return min(candidates, default=None)
+
+
+def sylvester_cases():
     rng = random.Random(11)
     for _ in range(150):
-        r, n = rng.randrange(1, 60), rng.randrange(1, 300)
-        candidates = [
-            (p, k)
-            for k in range(1, n + 1)
-            for p, _ in factorize(k + r)
-            if p > n
-        ]
+        yield rng.randrange(1, 60), rng.randrange(1, 300)
+    for band in (10**12, 2**62):  # the scan bands: the walk covers all of (n, n + r]
+        for _ in range(40):
+            yield rng.randrange(1, 60), band + rng.randrange(10**9)
+    # r far above n: the walk stops at 2n + _TRIAL_LIMIT, then the factoring search
+    for _ in range(40):
+        yield int(2 ** rng.uniform(math.log2(10**5), 62)), int(2 ** rng.uniform(0, math.log2(1200)))
+    yield 2**61 - 2, 1  # r + 1 is prime: only the factoring search finds it
+    yield 10**9 + 6, 1
+    yield 1009 * 1013 - 1, 1  # the search picks 1009, the smaller factor of r + 1
+    yield 2 * 1009 * 1000033 - 2, 2  # r + 1 is prime, 1009 divides r + 2: k0 = 2
+    # r on both sides of n + _TRIAL_LIMIT, where the cap drops below n + r
+    for n in (1, 2, 7, 50, 300, 1200):
+        for d in (-1, 0, 1):
+            yield n + _TRIAL_LIMIT + d, n
+
+
+def test_sylvester_smallest_prime_then_smallest_index():
+    paths = set()
+    for r, n in sylvester_cases():
+        expected = brute_sylvester_certificate(r, n)
         cert = sylvester_certificate(r, n)
-        if candidates:
-            assert (cert.p, cert.k0) == min(candidates)
+        if expected is None:
+            assert cert is None, (r, n)
         else:
-            assert cert is None
+            assert (cert.p, cert.k0) == expected, (r, n)
+            paths.add(cert.p > 2 * n + _TRIAL_LIMIT)
+    assert paths == {True, False}  # both the walk and the factoring search decided cases
+
+
+@pytest.mark.parametrize("r", [2**61 - 2, 10**9 + 6])
+def test_sylvester_tiny_n_huge_r_returns_at_once(r):
+    # r + 1 is prime, so no prime up to the walk's cap divides it; an
+    # uncapped walk would test every candidate up to r + 1
+    def timeout(signum, frame):
+        raise TimeoutError(f"classify({r}, 1) took over 5 s")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(5)
+    try:
+        outcome = classify(r, 1)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert outcome.certificate == SylvesterPrime(p=r + 1, k0=1)
+    assert outcome.certificate.verify(r, 1)
 
 
 def test_sylvester_always_exists_for_r_at_least_n():

@@ -4,15 +4,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from binsum import ntheory
+from binsum import certify, ntheory
+from binsum.certify import OrderCertificate, classify
 from binsum.ntheory import (
     U64_LIMIT,
     factorize,
     is_prime,
-    iter_primes,
-    largest_prime_factor,
     order2,
-    prime_record,
     primes_in,
     primes_upto,
     smooth_divisor,
@@ -109,27 +107,16 @@ def test_order2_is_minimal():
 
 
 def test_prime_record_invariants():
+    # a prime's order of 2 against its factored p - 1
     for p in (3, 7, 127, 8191, 99991):
-        rec = prime_record(p)
-        assert pow(2, rec.order2, p) == 1
-        assert (p - 1) % rec.order2 == 0
-        assert math.prod(q**e for q, e in rec.pminus1) == p - 1
-        for q, _ in rec.pminus1:
-            if rec.order2 % q == 0:
-                assert pow(2, rec.order2 // q, p) != 1
-
-
-def test_largest_prime_factor_examples():
-    assert largest_prime_factor(12) == 3
-    assert largest_prime_factor(97) == 97
-    assert largest_prime_factor(1001) == 13
-    with pytest.raises(ValueError):
-        largest_prime_factor(1)
-
-
-@given(st.integers(2, 1 << 40))
-def test_largest_prime_factor_matches_factorization(m):
-    assert largest_prime_factor(m) == max(p for p, _ in factorize(m))
+        t = order2(p)
+        pminus1 = factorize(p - 1)
+        assert pow(2, t, p) == 1
+        assert (p - 1) % t == 0
+        assert math.prod(q**e for q, e in pminus1) == p - 1
+        for q, _ in pminus1:
+            if t % q == 0:
+                assert pow(2, t // q, p) != 1
 
 
 def test_smooth_divisor_examples():
@@ -193,12 +180,6 @@ def test_primes_in_sparse_path():
     assert got  # the window does contain primes
 
 
-def test_iter_primes_spans_segments():
-    assert list(iter_primes(1, 10**6))[:5] == [2, 3, 5, 7, 11]
-    big = 1 << 19  # wider than one sieving segment
-    assert list(iter_primes(3, big)) == primes_in(3, big)
-
-
 def plain_primes_in(a, b):
     """Primes in [a, b] by a plain sieve of Eratosthenes: base primes from a
     bytearray sieve up to isqrt(b), then their multiples struck from the window."""
@@ -241,8 +222,10 @@ def test_primes_in_paths_agree_around_the_switch(n, monkeypatch):
 def test_narrow_window_at_1e12_builds_no_base_primes(monkeypatch):
     calls = []
     real_primes_upto = ntheory.primes_upto
-    monkeypatch.setattr(ntheory, "primes_upto", lambda m: calls.append(m) or real_primes_upto(m))
+    for module in (ntheory, certify):
+        monkeypatch.setattr(module, "primes_upto", lambda m: calls.append(m) or real_primes_upto(m))
     a = 10**12
     assert primes_in(a, a + 7) == plain_primes_in(a, a + 7)
-    assert list(iter_primes(a + 1, a + 7)) == primes_in(a + 1, a + 7)
+    # (a + 1, a + 8] holds no prime, so both certificate searches run
+    assert classify(7, a + 1).certificate == OrderCertificate(p=17, j=3)
     assert not [m for m in calls if m > 10**5], calls
