@@ -6,7 +6,6 @@ a counterexample to the nonintegrality conjecture."""
 import argparse
 import sys
 
-from binsum.certify import ClassifyBudget
 from binsum.experiments import scan_density
 
 
@@ -17,18 +16,17 @@ def main():
     ap.add_argument("--oracle-cutoff", type=int, default=3000)
     args = ap.parse_args()
 
-    budget = ClassifyBudget(oracle_cutoff=args.oracle_cutoff)
-    header = f"{'r':>4} {'sylvester':>10} {'order':>8} {'smooth':>7} {'oracle':>7} {'undecided':>10} {'integral':>9} {'secs':>7}"
+    header = f"{'r':>4} {'sylvester':>10} {'order':>8} {'oracle':>7} {'undecided':>10} {'integral':>9} {'secs':>7}"
     print(header)
     print("-" * len(header))
     total_integral = 0
     for r in range(1, args.r_max + 1):
-        rep = scan_density(r, 1, args.n_max, budget)
+        rep = scan_density(r, 1, args.n_max, args.oracle_cutoff)
         oracle = rep.counts["oracle_nonintegral"] + rep.counts["oracle_integral"]
         total_integral += rep.counts["oracle_integral"]
         print(
             f"{r:>4} {rep.cert_counts['sylvester']:>10} {rep.cert_counts['order']:>8} "
-            f"{rep.cert_counts['smooth']:>7} {oracle:>7} {rep.counts['undecided']:>10} "
+            f"{oracle:>7} {rep.counts['undecided']:>10} "
             f"{rep.counts['oracle_integral']:>9} {rep.elapsed:>7.2f}"
         )
         if rep.integral_witnesses:

@@ -28,10 +28,8 @@ since the two differ by the integer 2**n):
   p-valuation and s_upper cannot be an integer.  The order condition is
   checked as pow(2, n + j, p) != 1, which is equivalent (see
   OrderCertificate).
-* SmoothBound: the minimum M over 1 <= j <= r of the largest r-smooth
-  divisor of n + j, with 2**M <= r.
 
-classify() tries the certificates in a fixed order and falls back to
+classify() tries the two certificates in that order and falls back to
 direct exact evaluation when the instance is small enough.
 """
 
@@ -48,9 +46,7 @@ from .ntheory import (
     _TRIAL_LIMIT,
     _factorize,
     is_prime,
-    order2,  # not called here; kept as the name the benchmark tracer patches on this module
     primes_upto,
-    smooth_divisor,
 )
 
 # Cost guard for direct summation; C(n, k) and the lcm of the denominators
@@ -59,9 +55,6 @@ ORACLE_CUTOFF = 3000
 
 # Cost guard for the closed form, whose terms carry 2**(n+j).
 CLOSED_FORM_CUTOFF = 200
-
-# Largest r for which the smooth-divisor minimum is computed per instance.
-M_LOWER_WINDOW = 1 << 20
 
 
 def _check_instance(r: int, n: int) -> None:
@@ -164,19 +157,7 @@ class OrderCertificate:
         return pow(2, n + self.j, self.p) != 1
 
 
-@dataclass(frozen=True)
-class SmoothBound:
-    """m_value = min_{1<=j<=r} s_r(n+j) with 2**m_value <= r."""
-
-    m_value: int
-    kind = "smooth"
-
-    def verify(self, r: int, n: int) -> bool:
-        # 2**m <= r compared via bit length to avoid a huge power
-        return self.m_value < r.bit_length() and self.m_value == m_lower(r, n)
-
-
-Certificate = Union[SylvesterPrime, OrderCertificate, SmoothBound]
+Certificate = Union[SylvesterPrime, OrderCertificate]
 
 
 @dataclass(frozen=True)
@@ -212,7 +193,7 @@ CLASSIFICATION_KINDS = (
     "undecided",
 )
 
-CERTIFICATE_KINDS = ("sylvester", "order", "smooth")
+CERTIFICATE_KINDS = ("sylvester", "order")
 
 
 def sylvester_certificate(r: int, n: int) -> Optional[SylvesterPrime]:
@@ -284,50 +265,21 @@ def order_certificate(r: int, n: int) -> Optional[OrderCertificate]:
     return OrderCertificate(p=best[0], j=best[1]) if best else None
 
 
-def m_lower(r: int, n: int, *, window_limit: int = M_LOWER_WINDOW) -> int:
-    """min over 1 <= j <= r of the largest r-smooth divisor of n + j."""
-    _check_instance(r, n)
-    if r > window_limit:
-        raise ValueError(f"r={r} exceeds the smooth-window limit {window_limit}")
-    return min(smooth_divisor(r, n + j) for j in range(1, r + 1))
+def classify(r: int, n: int, oracle_cutoff: int = ORACLE_CUTOFF) -> Classification:
+    """Decide whether s_lower(r, n) is an integer.
 
-
-def smooth_certificate(r: int, n: int, *, window_limit: int = M_LOWER_WINDOW) -> Optional[SmoothBound]:
-    """SmoothBound when 2**m_lower(r, n) <= r, else None."""
-    m = m_lower(r, n, window_limit=window_limit)
-    if m < r.bit_length():  # 2**m <= r
-        return SmoothBound(m_value=m)
-    return None
-
-
-@dataclass(frozen=True)
-class ClassifyBudget:
-    """Work limits for classify(); results are deterministic per budget."""
-
-    oracle_cutoff: int = ORACLE_CUTOFF
-
-
-DEFAULT_BUDGET = ClassifyBudget()
-
-
-def classify(r: int, n: int, budget: ClassifyBudget = DEFAULT_BUDGET) -> Classification:
-    """Decide whether s_lower(r, n) is an integer, within the budget.
-
-    Certificates are tried in a fixed order (sylvester, order, smooth);
-    the first hit wins.  Otherwise the sum is evaluated exactly when
-    n <= budget.oracle_cutoff; beyond that the instance is Undecided.
+    Certificates are tried in a fixed order (sylvester, then order); the
+    first hit wins.  Otherwise the sum is evaluated exactly when
+    n <= oracle_cutoff; beyond that the instance is Undecided.  Results are
+    deterministic per oracle_cutoff.
     """
     _check_instance(r, n)
-    cert: Optional[Certificate] = sylvester_certificate(r, n)
-    if cert is None:
-        cert = order_certificate(r, n)
-    if cert is None:
-        cert = smooth_certificate(r, n)
+    cert: Optional[Certificate] = sylvester_certificate(r, n) or order_certificate(r, n)
     if cert is not None:
         return CertifiedNonintegral(certificate=cert)
-    if n <= budget.oracle_cutoff:
-        value = s_lower(r, n, cutoff=budget.oracle_cutoff)
+    if n <= oracle_cutoff:
+        value = s_lower(r, n, cutoff=oracle_cutoff)
         if value.denominator == 1:
             return OracleIntegral(value=value)
         return OracleNonintegral(value=value)
-    return Undecided(reason=f"no certificate; n exceeds oracle cutoff {budget.oracle_cutoff}")
+    return Undecided(reason=f"no certificate; n exceeds oracle cutoff {oracle_cutoff}")

@@ -31,7 +31,6 @@ from typing import Callable, Iterable, Optional, TextIO
 from .certify import (
     CLOSED_FORM_CUTOFF,
     ORACLE_CUTOFF,
-    ClassifyBudget,
     OracleIntegral,
     _check_instance,
     classify,
@@ -216,15 +215,14 @@ def _cmd_identity(args) -> _Output:
 def _cmd_certify(args) -> _Output:
     r = _positive("r", args.r)
     n = _positive("n", args.n)
-    budget = ClassifyBudget(oracle_cutoff=_positive("oracle-cutoff", args.oracle_cutoff))
-    outcome = classify(r, n, budget)
+    outcome = classify(r, n, _positive("oracle-cutoff", args.oracle_cutoff))
     found = isinstance(outcome, OracleIntegral)
     return [classification_record(r, n, outcome)], to_human_line, lambda: EXIT_FOUND if found else EXIT_OK
 
 
-def _classify_chunk(task: tuple[int, list[int], ClassifyBudget]) -> list[tuple[int, dict]]:
-    r, ns, budget = task
-    return [(n, classification_record(r, n, classify(r, n, budget))) for n in ns]
+def _classify_chunk(task: tuple[int, range, int]) -> list[tuple[int, dict]]:
+    r, ns, oracle_cutoff = task
+    return [(n, classification_record(r, n, classify(r, n, oracle_cutoff))) for n in ns]
 
 
 def _resuming(args) -> bool:
@@ -236,11 +234,13 @@ def _resuming(args) -> bool:
     return True
 
 
-def _load_resume(path: str, r: int) -> tuple[set[int], int]:
-    """Collect n values (and integral count) already present in a jsonl
-    scan file.  A final line without its newline, the torn tail of a killed
-    run, is skipped here; main cuts it off before appending."""
-    done: set[int] = set()
+def _load_resume(path: str, r: int, n_start: int, n_end: int) -> tuple[int, int]:
+    """Count the records (and the integral ones) already in a jsonl scan
+    file, which must hold n = n_start, n_start + 1, ... in order and stop at
+    or before n_end: appending then keeps the file sorted and gap-free.  A
+    final line without its newline, the torn tail of a killed run, is
+    skipped here; main cuts it off before appending."""
+    done = 0
     integral = 0
     with open(path, encoding="utf-8", newline="") as handle:
         for lineno, line in enumerate(handle, 1):
@@ -254,7 +254,12 @@ def _load_resume(path: str, r: int) -> tuple[set[int], int]:
                 n, kind = parse_scan_line(line, r)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: not a scan record for r={r}: {exc}")
-            done.add(n)
+            if n != n_start + done:
+                raise ValueError(f"{path}:{lineno}: holds n={n} where n={n_start + done} comes next; "
+                                 f"only a file holding n={n_start}, {n_start + 1}, ... in order can be resumed")
+            if n > n_end:
+                raise ValueError(f"{path}:{lineno}: holds n={n}, past --n-end {n_end}")
+            done += 1
             if kind == "oracle_integral":
                 integral += 1
     return done, integral
@@ -268,18 +273,18 @@ def _cmd_scan(args) -> _Output:
         raise ValueError(f"empty scan range [{n_start}, {n_end}]")
     _check_instance(r, n_end)
     threads = _positive("threads", args.threads)
-    budget = ClassifyBudget(oracle_cutoff=_positive("oracle-cutoff", args.oracle_cutoff))
+    oracle_cutoff = _positive("oracle-cutoff", args.oracle_cutoff)
 
     resuming = _resuming(args)
-    done, prior_integral = _load_resume(args.out, r) if resuming else (set(), 0)
+    done, prior_integral = _load_resume(args.out, r, n_start, n_end) if resuming else (0, 0)
 
-    todo = [n for n in range(n_start, n_end + 1) if n not in done]
-    tasks = [(r, todo[i : i + _SCAN_CHUNK], budget) for i in range(0, len(todo), _SCAN_CHUNK)]
+    todo = range(n_start + done, n_end + 1)
+    tasks = ((r, todo[i : i + _SCAN_CHUNK], oracle_cutoff) for i in range(0, len(todo), _SCAN_CHUNK))
     counts: dict[str, int] = {}
     t0 = time.perf_counter()
 
     def records():
-        parallel = threads > 1 and len(tasks) > 1
+        parallel = threads > 1 and len(todo) > _SCAN_CHUNK  # more than one chunk
         with multiprocessing.Pool(processes=threads) if parallel else contextlib.nullcontext() as pool:
             for chunk in pool.imap(_classify_chunk, tasks) if pool else map(_classify_chunk, tasks):
                 for _, rec in chunk:
@@ -288,7 +293,7 @@ def _cmd_scan(args) -> _Output:
 
     def status() -> int:
         elapsed = time.perf_counter() - t0
-        skipped = f", {len(done)} already present" if resuming else ""
+        skipped = f", {done} already present" if resuming else ""
         summary = ", ".join(f"{k}={v}" for k, v in sorted(counts.items())) or "nothing to do"
         print(f"scan r={r}, n in [{n_start}, {n_end}]: {summary}{skipped} ({elapsed:.2f}s)", file=sys.stderr)
         integral = prior_integral + counts.get("oracle_integral", 0)

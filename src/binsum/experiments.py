@@ -18,9 +18,8 @@ from typing import Optional
 from .certify import (
     CERTIFICATE_KINDS,
     CLASSIFICATION_KINDS,
-    DEFAULT_BUDGET,
+    ORACLE_CUTOFF,
     CertifiedNonintegral,
-    ClassifyBudget,
     OracleIntegral,
     Undecided,
     _check_instance,
@@ -34,6 +33,7 @@ LCM_PREFIX = 4  # the lcm bound uses the four smallest primes of the tuple
 
 CENSUS_LIMIT = 10**7
 SCAN_RANGE_LIMIT = 10**7
+UNDECIDED_LIMIT = 100  # undecided n listed per ScanReport
 SMOOTH_WORK_LIMIT = 10**9
 
 
@@ -209,8 +209,7 @@ class ScanReport:
     counts: dict[str, int] = field(default_factory=dict)
     cert_counts: dict[str, int] = field(default_factory=dict)
     integral_witnesses: list[int] = field(default_factory=list)
-    undecided: list[int] = field(default_factory=list)
-    undecided_cap: int = 100
+    undecided: list[int] = field(default_factory=list)  # the first UNDECIDED_LIMIT
     elapsed: float = 0.0
 
     @property
@@ -218,15 +217,7 @@ class ScanReport:
         return sum(self.counts.values())
 
 
-def scan_density(
-    r: int,
-    n_lo: int,
-    n_hi: int,
-    budget: ClassifyBudget = DEFAULT_BUDGET,
-    *,
-    undecided_cap: int = 100,
-    max_range: int = SCAN_RANGE_LIMIT,
-) -> ScanReport:
+def scan_density(r: int, n_lo: int, n_hi: int, oracle_cutoff: int = ORACLE_CUTOFF) -> ScanReport:
     """Classify every n in [n_lo, n_hi] and tally the outcomes.
 
     The aggregate is deterministic: splitting the range and summing the
@@ -236,21 +227,21 @@ def scan_density(
         raise ValueError(f"empty scan range [{n_lo}, {n_hi}]")
     _check_instance(r, n_lo)
     _check_instance(r, n_hi)
-    if n_hi - n_lo + 1 > max_range:
-        raise ValueError(f"scan range size {n_hi - n_lo + 1} exceeds limit {max_range}")
+    if n_hi - n_lo + 1 > SCAN_RANGE_LIMIT:
+        raise ValueError(f"scan range size {n_hi - n_lo + 1} exceeds limit {SCAN_RANGE_LIMIT}")
     t0 = time.perf_counter()
     counts = {k: 0 for k in CLASSIFICATION_KINDS}
     cert_counts = {k: 0 for k in CERTIFICATE_KINDS}
     integral: list[int] = []
     undecided: list[int] = []
     for n in range(n_lo, n_hi + 1):
-        outcome = classify(r, n, budget)
+        outcome = classify(r, n, oracle_cutoff)
         counts[outcome.kind] += 1
         if isinstance(outcome, CertifiedNonintegral):
             cert_counts[outcome.certificate.kind] += 1
         elif isinstance(outcome, OracleIntegral):
             integral.append(n)
-        elif isinstance(outcome, Undecided) and len(undecided) < undecided_cap:
+        elif isinstance(outcome, Undecided) and len(undecided) < UNDECIDED_LIMIT:
             undecided.append(n)
     return ScanReport(
         r=r,
@@ -260,18 +251,17 @@ def scan_density(
         cert_counts=cert_counts,
         integral_witnesses=integral,
         undecided=undecided,
-        undecided_cap=undecided_cap,
         elapsed=time.perf_counter() - t0,
     )
 
 
-def small_order_census(t: int, *, limit: int = CENSUS_LIMIT) -> tuple[int, list[int]]:
+def small_order_census(t: int) -> tuple[int, list[int]]:
     """Count (and list) the odd primes q <= t whose order of 2 is at most
     q**0.3, i.e. order2(q)**10 <= q**3."""
     if t < 1:
         raise ValueError(f"census bound must be >= 1: got {t}")
-    if t > limit:
-        raise ValueError(f"census bound {t} exceeds limit {limit}")
+    if t > CENSUS_LIMIT:
+        raise ValueError(f"census bound {t} exceeds limit {CENSUS_LIMIT}")
     hits = [q for q in primes_in(3, t) if power_compare(order2(q), q, 3, 10) <= 0] if t >= 3 else []
     return len(hits), hits
 
@@ -288,15 +278,15 @@ class SmoothStats:
     exceeds_log: bool   # 2**m_max > r
 
 
-def m_of_r(r: int, n_max: int, *, work_limit: int = SMOOTH_WORK_LIMIT) -> SmoothStats:
+def m_of_r(r: int, n_max: int) -> SmoothStats:
     """Maximize M_r(n) = min_{1<=j<=r} s_r(n+j) over 1 <= n <= n_max.
 
     Computed with a sliding window minimum so each smooth divisor is
     evaluated once.
     """
     _check_instance(r, n_max)
-    if r * n_max > work_limit:
-        raise ValueError(f"r * n_max = {r * n_max} exceeds work limit {work_limit}")
+    if r * n_max > SMOOTH_WORK_LIMIT:
+        raise ValueError(f"r * n_max = {r * n_max} exceeds work limit {SMOOTH_WORK_LIMIT}")
     best_m, best_n = 0, 0
     window: deque[tuple[int, int]] = deque()  # (i, s_r(i)), s-values increasing
     for i in range(2, n_max + r + 1):

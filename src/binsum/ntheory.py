@@ -14,7 +14,7 @@ from functools import lru_cache
 
 U64_LIMIT = 1 << 64
 
-# Default cap on the width of a primes_in() request (memory guard, not a
+# Cap on the width of a primes_in() request (memory guard, not a
 # correctness bound).
 WINDOW_LIMIT = 10**8
 
@@ -184,7 +184,7 @@ def smooth_divisor(r: int, m: int) -> int:
     return math.prod(p**e for p, e in _factorize(m) if p <= r)
 
 
-def primes_in(a: int, b: int, *, window_limit: int = WINDOW_LIMIT) -> list[int]:
+def primes_in(a: int, b: int) -> list[int]:
     """All primes p with a <= p <= b, ascending.
 
     Selection rule, from (a, b) alone: with root = isqrt(b), each odd
@@ -205,8 +205,8 @@ def primes_in(a: int, b: int, *, window_limit: int = WINDOW_LIMIT) -> list[int]:
     """
     if not 1 <= a <= b < U64_LIMIT:
         raise ValueError(f"primes_in needs 1 <= a <= b < 2**64: got [{a}, {b}]")
-    if b - a > window_limit:
-        raise ValueError(f"window width {b - a} exceeds limit {window_limit}")
+    if b - a > WINDOW_LIMIT:
+        raise ValueError(f"window width {b - a} exceeds limit {WINDOW_LIMIT}")
     a = max(a, 2)
     if b < 2:
         return []

@@ -16,7 +16,6 @@ from .certify import (
     OracleIntegral,
     OracleNonintegral,
     OrderCertificate,
-    SmoothBound,
     SylvesterPrime,
 )
 
@@ -28,7 +27,7 @@ CSV_COLUMNS = (
     "p",
     "k0",
     "j",
-    "m_value",
+    "m_value",  # always empty; kept so csv output keeps its bytes
     "value_numerator",
     "value_denominator",
 )
@@ -39,8 +38,6 @@ def certificate_record(cert: Certificate) -> dict[str, str]:
         return {"type": "sylvester", "p": str(cert.p), "k0": str(cert.k0)}
     if isinstance(cert, OrderCertificate):
         return {"type": "order", "p": str(cert.p), "j": str(cert.j)}
-    if isinstance(cert, SmoothBound):
-        return {"type": "smooth", "m_value": str(cert.m_value)}
     raise TypeError(f"not a certificate: {cert!r}")
 
 
@@ -51,8 +48,6 @@ def certificate_from_record(rec: dict[str, str]) -> Certificate:
         return SylvesterPrime(p=int(rec["p"]), k0=int(rec["k0"]))
     if kind == "order":
         return OrderCertificate(p=int(rec["p"]), j=int(rec["j"]))
-    if kind == "smooth":
-        return SmoothBound(m_value=int(rec["m_value"]))
     raise ValueError(f"unknown certificate type: {kind!r}")
 
 
@@ -80,7 +75,7 @@ def to_csv_row(rec: dict) -> list[str]:
         "p": cert.get("p", ""),
         "k0": cert.get("k0", ""),
         "j": cert.get("j", ""),
-        "m_value": cert.get("m_value", ""),
+        "m_value": "",
         "value_numerator": rec.get("value_numerator", ""),
         "value_denominator": rec.get("value_denominator", ""),
     }
@@ -94,10 +89,8 @@ def to_human_line(rec: dict) -> str:
         cert = rec["certificate"]
         if cert["type"] == "sylvester":
             detail = f"sylvester prime p={cert['p']} at k0={cert['k0']}"
-        elif cert["type"] == "order":
-            detail = f"order certificate p={cert['p']} at j={cert['j']}"
         else:
-            detail = f"smooth bound M={cert['m_value']}"
+            detail = f"order certificate p={cert['p']} at j={cert['j']}"
         return f"(r={r}, n={n}) nonintegral [{detail}]"
     if kind in ("oracle_nonintegral", "oracle_integral"):
         tag = "INTEGRAL" if kind == "oracle_integral" else "nonintegral"

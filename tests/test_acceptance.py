@@ -20,11 +20,9 @@ from math import gcd
 
 from binsum.certify import (
     CertifiedNonintegral,
-    ClassifyBudget,
     OracleIntegral,
     Undecided,
     classify,
-    m_lower,
     s_lower,
     s_upper,
     s_upper_closed,
@@ -40,7 +38,7 @@ from binsum.experiments import (
     small_order_census,
     verify_tuple,
 )
-from binsum.ntheory import order2, primes_in
+from binsum.ntheory import order2, primes_in, smooth_divisor
 
 
 def report(criterion, ok, detail):
@@ -65,11 +63,10 @@ def test_c1_identity_suite():
 
 
 def test_c2_proved_range_sweep():
-    budget = ClassifyBudget(oracle_cutoff=3000)
     integral, undecided = [], []
     for r in range(1, 23):
         for n in range(1, 1501):
-            outcome = classify(r, n, budget)
+            outcome = classify(r, n, oracle_cutoff=3000)
             if isinstance(outcome, OracleIntegral):
                 integral.append((r, n))
             elif isinstance(outcome, Undecided):
@@ -181,7 +178,7 @@ def test_c7_smooth_statistics():
     three = m_of_r(3, 10**4)
     witness_ok = (
         three.exceeds_log
-        and m_lower(3, three.argmax_n) == three.m_max
+        and min(smooth_divisor(3, three.argmax_n + j) for j in range(1, 4)) == three.m_max
         and 2**three.m_max > 3
     )
     assert report(

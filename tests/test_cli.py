@@ -95,7 +95,7 @@ def test_scan_resume_reports_prior_integral(tmp_path):
 def test_scan_exit_1_on_integral(monkeypatch, tmp_path, capsys):
     import binsum.cli as cli_mod
 
-    def fake_classify(r, n, budget):
+    def fake_classify(r, n, oracle_cutoff):
         return OracleIntegral(value=Fraction(4, 1))
 
     monkeypatch.setattr(cli_mod, "classify", fake_classify)
@@ -138,6 +138,11 @@ def test_scan_records_round_trip(tmp_path):
             assert cert.verify(7, n)
             seen += 1
     assert seen > 150
+
+
+def test_smooth_certificate_records_are_rejected():
+    with pytest.raises(ValueError):
+        certificate_from_record({"type": "smooth", "m_value": "1"})
 
 
 def test_lemma2_record(capsys):
@@ -256,6 +261,42 @@ def test_scan_resume_drops_torn_final_line(tmp_path, capsys):
     assert partial.read_bytes() == full.read_bytes()
 
 
+@pytest.mark.parametrize("first, second, complaint", [
+    ((10, 12), (1, 14), "holds n=10 where n=1 comes next"),   # would append n = 1..9 after 12
+    ((1, 5), (20, 22), "holds n=1 where n=20 comes next"),    # would leave the gap 6..19
+    ((1, 5), (1, 3), "holds n=4, past --n-end 3"),
+], ids=["suffix", "gap", "past-end"])
+def test_scan_resume_refuses_a_file_that_is_not_a_prefix(first, second, complaint, tmp_path, capsys):
+    path = tmp_path / "scan.jsonl"
+
+    def scan(lo, hi):
+        return run_cli(["scan", "--r", "3", "--n-start", str(lo), "--n-end", str(hi),
+                        "--threads", "1", "--out", str(path)])
+
+    assert scan(*first) == 0
+    before = path.read_bytes()
+    capsys.readouterr()
+    assert scan(*second) == 2
+    assert complaint in capsys.readouterr().err
+    assert path.read_bytes() == before
+
+
+def test_scan_planning_memory_is_bounded():
+    # chunks are made as the scan reaches them, not listed up front
+    import tracemalloc
+
+    from binsum.cli import _cmd_scan, build_parser
+
+    args = build_parser().parse_args(["scan", "--r", "23", "--n-start", "1", "--n-end", "2000000", "--threads", "2"])
+    tracemalloc.start()
+    try:
+        _cmd_scan(args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
+
+
 def test_benchmark_tracer_layers_resolve_and_fire(tmp_path, monkeypatch):
     # perfbench patches these names where the CLI looks them up; a layer
     # that stops resolving, or is bypassed, silently loses its metrics.
@@ -268,7 +309,8 @@ def test_benchmark_tracer_layers_resolve_and_fire(tmp_path, monkeypatch):
     tracer = tracer_mod.Tracer()
     tracer.install(tracer_mod.FULL_LAYERS + tracer_mod.POOL_LAYERS)
     try:
-        assert tracer.missing == []
+        # the smooth stage and the order2 import on certify are gone
+        assert tracer.missing == ["binsum.certify.order2", "binsum.certify.smooth_certificate"]
         out = tmp_path / "scan.jsonl"
         assert run_cli(["scan", "--r", "7", "--n-start", "1", "--n-end", "20", "--threads", "1", "--out", str(out)]) == 0
         assert run_cli(["census", "--t", "100", "--out", str(tmp_path / "census.jsonl")]) == 0

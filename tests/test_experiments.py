@@ -16,7 +16,7 @@ from binsum.experiments import (
     small_order_census,
     verify_tuple,
 )
-from binsum.ntheory import is_prime, order2, primes_in
+from binsum.ntheory import is_prime, order2, primes_in, smooth_divisor
 
 # gcd(p-1, q-1) is even for odd primes, so the default gcd threshold
 # gcd < r**0.001 is vacuous below r = 2**1000; tests that need a witness
@@ -176,11 +176,9 @@ def test_m_of_r_examples():
 
 
 def test_m_of_r_matches_direct_minimum():
-    from binsum.certify import m_lower
-
     for r in (2, 3, 5, 10):
         stats = m_of_r(r, 60)
-        values = [m_lower(r, n) for n in range(1, 61)]
+        values = [min(smooth_divisor(r, n + j) for j in range(1, r + 1)) for n in range(1, 61)]
         assert stats.m_max == max(values)
         assert stats.argmax_n == values.index(max(values)) + 1
 
