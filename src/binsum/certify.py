@@ -93,12 +93,12 @@ def s_upper(r: int, n: int, *, cutoff: int = ORACLE_CUTOFF) -> Fraction:
     return Fraction(total, den)
 
 
-def s_upper_closed(r: int, n: int, *, cutoff: int = CLOSED_FORM_CUTOFF) -> Fraction:
+def s_upper_closed(r: int, n: int) -> Fraction:
     """s_upper(r, n) via its alternating closed form (r terms, each with a
     2**(n+j) - 1 numerator)."""
     _check_instance(r, n)
-    if r > cutoff:
-        raise ValueError(f"r={r} exceeds the closed-form cutoff {cutoff}")
+    if r > CLOSED_FORM_CUTOFF:
+        raise ValueError(f"r={r} exceeds the closed-form cutoff {CLOSED_FORM_CUTOFF}")
     den = reduce(lcm, range(n + 1, n + r + 1), 1)
     total = 0
     c = 1  # C(r-1, j-1), starting at j = 1
@@ -109,9 +109,9 @@ def s_upper_closed(r: int, n: int, *, cutoff: int = CLOSED_FORM_CUTOFF) -> Fract
     return Fraction(total, den)
 
 
-def complement_check(r: int, n: int, *, cutoff: int = ORACLE_CUTOFF) -> bool:
+def complement_check(r: int, n: int) -> bool:
     """True iff s_lower + s_upper equals 2**n exactly."""
-    return s_lower(r, n, cutoff=cutoff) + s_upper(r, n, cutoff=cutoff) == 1 << n
+    return s_lower(r, n) + s_upper(r, n) == 1 << n
 
 
 @dataclass(frozen=True)

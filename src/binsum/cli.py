@@ -40,7 +40,7 @@ from .certify import (
     s_upper_closed,
 )
 from .experiments import (
-    ThresholdConfig,
+    GCD_EXP,
     find_tuple,
     gap_probe,
     m_of_r,
@@ -120,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--upper", action="store_true", help="evaluate the complementary sum instead")
     p.add_argument("--closed", action="store_true", help="use the closed form (implies --upper)")
-    p.add_argument("--oracle-cutoff", type=int, default=3000)
+    p.add_argument("--oracle-cutoff", type=int, default=ORACLE_CUTOFF)
 
     p = sub.add_parser("identity", help="closed-form and complement identity checks over a grid")
     p.set_defaults(handler=_cmd_identity)
@@ -131,23 +131,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_certify)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--oracle-cutoff", type=int, default=3000)
+    p.add_argument("--oracle-cutoff", type=int, default=ORACLE_CUTOFF)
 
     p = sub.add_parser("scan", help="classify every n in a range for one r")
     p.set_defaults(handler=_cmd_scan)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--n-start", type=int, required=True)
     p.add_argument("--n-end", type=int, required=True)
-    p.add_argument("--oracle-cutoff", type=int, default=3000)
+    p.add_argument("--oracle-cutoff", type=int, default=ORACLE_CUTOFF)
     p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
 
     p = sub.add_parser("lemma2", help="six-prime short-interval witness search")
     p.set_defaults(handler=_cmd_lemma2)
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--interval-exp", type=str, default="61/100", metavar="NUM/DEN")
-    p.add_argument("--order-exp", type=str, default="3/10", metavar="NUM/DEN")
-    p.add_argument("--gcd-exp", type=str, default="1/1000", metavar="NUM/DEN")
-    p.add_argument("--lcm-exp", type=str, default="2597/500", metavar="NUM/DEN")
+    p.add_argument("--gcd-exp", type=str, default="%d/%d" % GCD_EXP, metavar="NUM/DEN")
 
     p = sub.add_parser("census", help="odd primes q <= t with order2(q) <= q**0.3")
     p.set_defaults(handler=_cmd_census)
@@ -234,12 +231,14 @@ def _resuming(args) -> bool:
     return True
 
 
-def _load_resume(path: str, r: int, n_start: int, n_end: int) -> tuple[int, int]:
+def _load_resume(path: str, r: int, n_start: int, n_end: int, oracle_cutoff: int) -> tuple[int, int]:
     """Count the records (and the integral ones) already in a jsonl scan
     file, which must hold n = n_start, n_start + 1, ... in order and stop at
-    or before n_end: appending then keeps the file sorted and gap-free.  A
-    final line without its newline, the torn tail of a killed run, is
-    skipped here; main cuts it off before appending."""
+    or before n_end: appending then keeps the file sorted and gap-free.
+    Every record must be one this oracle_cutoff would write, so a file never
+    mixes budgets: `undecided` only above it, an oracle value only at or
+    below it.  A final line without its newline, the torn tail of a killed
+    run, is skipped here; main cuts it off before appending."""
     done = 0
     integral = 0
     with open(path, encoding="utf-8", newline="") as handle:
@@ -259,6 +258,9 @@ def _load_resume(path: str, r: int, n_start: int, n_end: int) -> tuple[int, int]
                                  f"only a file holding n={n_start}, {n_start + 1}, ... in order can be resumed")
             if n > n_end:
                 raise ValueError(f"{path}:{lineno}: holds n={n}, past --n-end {n_end}")
+            if (kind == "undecided" and n <= oracle_cutoff) or (kind.startswith("oracle_") and n > oracle_cutoff):
+                raise ValueError(f"{path}:{lineno}: holds {kind} for n={n}, which --oracle-cutoff {oracle_cutoff} "
+                                 f"would not write; resume with the cutoff that made the file")
             done += 1
             if kind == "oracle_integral":
                 integral += 1
@@ -276,7 +278,7 @@ def _cmd_scan(args) -> _Output:
     oracle_cutoff = _positive("oracle-cutoff", args.oracle_cutoff)
 
     resuming = _resuming(args)
-    done, prior_integral = _load_resume(args.out, r, n_start, n_end) if resuming else (0, 0)
+    done, prior_integral = _load_resume(args.out, r, n_start, n_end, oracle_cutoff) if resuming else (0, 0)
 
     todo = range(n_start + done, n_end + 1)
     tasks = ((r, todo[i : i + _SCAN_CHUNK], oracle_cutoff) for i in range(0, len(todo), _SCAN_CHUNK))
@@ -284,8 +286,8 @@ def _cmd_scan(args) -> _Output:
     t0 = time.perf_counter()
 
     def records():
-        parallel = threads > 1 and len(todo) > _SCAN_CHUNK  # more than one chunk
-        with multiprocessing.Pool(processes=threads) if parallel else contextlib.nullcontext() as pool:
+        workers = min(threads, -(-len(todo) // _SCAN_CHUNK))  # never more workers than chunks
+        with multiprocessing.Pool(processes=workers) if workers > 1 else contextlib.nullcontext() as pool:
             for chunk in pool.imap(_classify_chunk, tasks) if pool else map(_classify_chunk, tasks):
                 for _, rec in chunk:
                     counts[rec["classification"]] = counts.get(rec["classification"], 0) + 1
@@ -307,13 +309,12 @@ def _cmd_scan(args) -> _Output:
 
 def _cmd_lemma2(args) -> _Output:
     r = _positive("r", args.r)
-    exponents = ("interval_exp", "order_exp", "gcd_exp", "lcm_exp")
-    config = ThresholdConfig(**{name: _parse_exponent(getattr(args, name)) for name in exponents})
-    result = find_tuple(r, config)
+    gcd_exp = _parse_exponent(args.gcd_exp)
+    result = find_tuple(r, gcd_exp)
     (lo, hi), w = result.interval, result.witness
     witness = None
     if w is not None:
-        check = verify_tuple(w, config)
+        check = verify_tuple(w, gcd_exp)
         witness = _record(
             primes=w.primes, orders=w.orders, pair_gcds=w.pair_gcds, lcm_m=w.lcm_m,
             verified=check.conditions_ok, lcm_bound_ok=check.bound_ok,

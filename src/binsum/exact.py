@@ -1,5 +1,5 @@
-"""Exact arithmetic helpers: binomial coefficients, p-adic valuations of
-rationals, and float-free comparison against fractional powers.
+"""Exact arithmetic helpers: p-adic valuations of rationals and float-free
+comparison against fractional powers.
 
 Rational values throughout the package are `fractions.Fraction`, which is
 canonical by construction: reduced to lowest terms with a positive
@@ -9,16 +9,8 @@ denominator, and re-reducing is a no-op.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
 
 from .ntheory import is_prime
-
-
-def binomial(n: int, k: int) -> int:
-    """C(n, k) for nonnegative arguments; zero when k > n."""
-    if n < 0 or k < 0:
-        raise ValueError(f"binomial needs nonnegative arguments: got ({n}, {k})")
-    return comb(n, k)
 
 
 def _int_valuation(p: int, m: int) -> int:

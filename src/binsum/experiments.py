@@ -9,7 +9,6 @@ integer exponent pairs and decided by exact big-integer comparison.
 
 from __future__ import annotations
 
-import time
 from collections import deque
 from dataclasses import dataclass, field
 from math import gcd, lcm
@@ -36,19 +35,12 @@ SCAN_RANGE_LIMIT = 10**7
 UNDECIDED_LIMIT = 100  # undecided n listed per ScanReport
 SMOOTH_WORK_LIMIT = 10**9
 
-
-@dataclass(frozen=True)
-class ThresholdConfig:
-    """Exponent thresholds for the six-prime witness search, as (num, den)
-    pairs: a passes "x < r**(num/den)" iff x**den < r**num, etc."""
-
-    interval_exp: tuple[int, int] = (61, 100)  # primes drawn from (r, r + r**0.61]
-    order_exp: tuple[int, int] = (3, 10)       # require order2(p) > r**0.3
-    gcd_exp: tuple[int, int] = (1, 1000)       # require gcd(p-1, q-1) < r**0.001
-    lcm_exp: tuple[int, int] = (2597, 500)     # check lcm bound M > r**5.194
-
-
-DEFAULT_THRESHOLDS = ThresholdConfig()
+# Exponent thresholds of the six-prime witness search, as (num, den) pairs:
+# x passes "x < r**(num/den)" iff x**den < r**num, etc.
+INTERVAL_EXP = (61, 100)  # primes drawn from (r, r + r**0.61]
+ORDER_EXP = (3, 10)       # require order2(p) > r**0.3
+GCD_EXP = (1, 1000)       # require gcd(p-1, q-1) < r**0.001; the one callers vary
+LCM_EXP = (2597, 500)     # check lcm bound M > r**5.194
 
 
 @dataclass(frozen=True)
@@ -75,7 +67,7 @@ class TupleSearch:
     order_passed: int
 
 
-def find_tuple(r: int, config: ThresholdConfig = DEFAULT_THRESHOLDS) -> TupleSearch:
+def find_tuple(r: int, gcd_exp: tuple[int, int] = GCD_EXP) -> TupleSearch:
     """Search (r, r + floor(r**0.61)] for six primes whose orders of 2 all
     beat the order threshold and whose shifted values p - 1 are pairwise
     nearly coprime.
@@ -88,13 +80,11 @@ def find_tuple(r: int, config: ThresholdConfig = DEFAULT_THRESHOLDS) -> TupleSea
     """
     if r < 2:
         raise ValueError(f"find_tuple needs r >= 2: got {r}")
-    inum, iden = config.interval_exp
-    width = floor_power(r, inum, iden)
+    width = floor_power(r, *INTERVAL_EXP)
     lo, hi = r + 1, r + width
     primes = primes_in(lo, hi) if width >= 1 else []
-    onum, oden = config.order_exp
-    candidates = [p for p in primes if power_compare(order2(p), r, onum, oden) > 0]
-    witness = _select_tuple(r, candidates, config)
+    candidates = [p for p in primes if power_compare(order2(p), r, *ORDER_EXP) > 0]
+    witness = _select_tuple(r, candidates, gcd_exp)
     return TupleSearch(
         r=r,
         witness=witness,
@@ -104,11 +94,9 @@ def find_tuple(r: int, config: ThresholdConfig = DEFAULT_THRESHOLDS) -> TupleSea
     )
 
 
-def _select_tuple(r: int, candidates: list[int], config: ThresholdConfig) -> Optional[TupleWitness]:
-    gnum, gden = config.gcd_exp
-
+def _select_tuple(r: int, candidates: list[int], gcd_exp: tuple[int, int]) -> Optional[TupleWitness]:
     def gcd_ok(p: int, q: int) -> bool:
-        return power_compare(gcd(p - 1, q - 1), r, gnum, gden) < 0
+        return power_compare(gcd(p - 1, q - 1), r, *gcd_exp) < 0
 
     chosen: list[int] = []
 
@@ -150,11 +138,11 @@ class TupleCheck:
         return self.conditions_ok and self.bound_ok
 
 
-def verify_tuple(w: TupleWitness, config: ThresholdConfig = DEFAULT_THRESHOLDS) -> TupleCheck:
+def verify_tuple(w: TupleWitness, gcd_exp: tuple[int, int] = GCD_EXP) -> TupleCheck:
     """Re-check every witness condition from scratch: primality, interval
     membership, recomputed orders and pairwise gcds against their
     thresholds, the stored lcm, and finally the lcm lower bound
-    M > r**(lcm_exp)."""
+    M > r**(LCM_EXP)."""
     fails: list[str] = []
     r = w.r
     if r < 2:
@@ -166,8 +154,7 @@ def verify_tuple(w: TupleWitness, config: ThresholdConfig = DEFAULT_THRESHOLDS) 
     if len(w.orders) != len(w.primes) or len(w.pair_gcds) != len(w.primes) * (len(w.primes) - 1) // 2:
         fails.append("orders/pair_gcds length mismatch")
 
-    inum, iden = config.interval_exp
-    onum, oden = config.order_exp
+    inum, iden = INTERVAL_EXP
     for idx, p in enumerate(w.primes):
         if p <= 2 or p >= U64_LIMIT or not is_prime(p) or p % 2 == 0:
             fails.append(f"p={p} is not an odd prime")
@@ -177,25 +164,24 @@ def verify_tuple(w: TupleWitness, config: ThresholdConfig = DEFAULT_THRESHOLDS) 
         t = order2(p)
         if idx < len(w.orders) and w.orders[idx] != t:
             fails.append(f"stored order {w.orders[idx]} != order2({p}) = {t}")
-        if r < 2 or power_compare(t, r, onum, oden) <= 0:
+        if r < 2 or power_compare(t, r, *ORDER_EXP) <= 0:
             fails.append(f"order2({p}) = {t} fails the order threshold")
 
     if not fails:
-        gnum, gden = config.gcd_exp
         k = 0
         for i in range(TUPLE_SIZE):
             for j in range(i + 1, TUPLE_SIZE):
                 g = gcd(w.primes[i] - 1, w.primes[j] - 1)
                 if w.pair_gcds[k] != g:
                     fails.append(f"stored gcd {w.pair_gcds[k]} != gcd for pair ({i},{j}) = {g}")
-                if power_compare(g, r, gnum, gden) >= 0:
+                if power_compare(g, r, *gcd_exp) >= 0:
                     fails.append(f"gcd {g} for pair ({i},{j}) fails the gcd threshold")
                 k += 1
         expected_lcm = lcm(*w.primes[:LCM_PREFIX], *[order2(p) for p in w.primes[:LCM_PREFIX]])
         if w.lcm_m != expected_lcm:
             fails.append(f"stored lcm {w.lcm_m} != recomputed {expected_lcm}")
 
-    bound_ok = r >= 1 and w.lcm_m >= 1 and power_compare(w.lcm_m, r, *config.lcm_exp) > 0
+    bound_ok = r >= 1 and w.lcm_m >= 1 and power_compare(w.lcm_m, r, *LCM_EXP) > 0
     return TupleCheck(conditions_ok=not fails, bound_ok=bound_ok, failures=tuple(fails))
 
 
@@ -210,7 +196,6 @@ class ScanReport:
     cert_counts: dict[str, int] = field(default_factory=dict)
     integral_witnesses: list[int] = field(default_factory=list)
     undecided: list[int] = field(default_factory=list)  # the first UNDECIDED_LIMIT
-    elapsed: float = 0.0
 
     @property
     def total(self) -> int:
@@ -229,7 +214,6 @@ def scan_density(r: int, n_lo: int, n_hi: int, oracle_cutoff: int = ORACLE_CUTOF
     _check_instance(r, n_hi)
     if n_hi - n_lo + 1 > SCAN_RANGE_LIMIT:
         raise ValueError(f"scan range size {n_hi - n_lo + 1} exceeds limit {SCAN_RANGE_LIMIT}")
-    t0 = time.perf_counter()
     counts = {k: 0 for k in CLASSIFICATION_KINDS}
     cert_counts = {k: 0 for k in CERTIFICATE_KINDS}
     integral: list[int] = []
@@ -251,7 +235,6 @@ def scan_density(r: int, n_lo: int, n_hi: int, oracle_cutoff: int = ORACLE_CUTOF
         cert_counts=cert_counts,
         integral_witnesses=integral,
         undecided=undecided,
-        elapsed=time.perf_counter() - t0,
     )
 
 

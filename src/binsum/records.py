@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 
 from .certify import (
+    CLASSIFICATION_KINDS,
     Certificate,
     CertifiedNonintegral,
     Classification,
@@ -115,4 +116,6 @@ def parse_scan_line(line: str, expected_r: int) -> tuple[int, str]:
             raise ValueError(f"record lacks key {key!r}")
     if rec["r"] != str(expected_r):
         raise ValueError(f"record r={rec['r']} does not match scan r={expected_r}")
-    return int(rec["n"]), str(rec["classification"])
+    if rec["classification"] not in CLASSIFICATION_KINDS:
+        raise ValueError(f"unknown classification {rec['classification']!r}")
+    return int(rec["n"]), rec["classification"]

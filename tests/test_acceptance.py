@@ -31,8 +31,9 @@ from binsum.certify import (
 from binsum.cli import main
 from binsum.exact import power_compare
 from binsum.experiments import (
-    DEFAULT_THRESHOLDS,
-    ThresholdConfig,
+    GCD_EXP,
+    LCM_EXP,
+    ORDER_EXP,
     find_tuple,
     m_of_r,
     small_order_census,
@@ -125,20 +126,20 @@ def test_c5_six_prime_witness():
     lo, hi = result.interval
     passing = [
         p for p in primes_in(lo, hi)
-        if power_compare(order2(p), r, *DEFAULT_THRESHOLDS.order_exp) > 0
+        if power_compare(order2(p), r, *ORDER_EXP) > 0
     ]
     min_gcd = min(gcd(p - 1, q - 1) for p, q in combinations(passing, 2))
     absence_ok = (
         len(passing) == result.order_passed
         and min_gcd == 2
-        and power_compare(min_gcd, r, *DEFAULT_THRESHOLDS.gcd_exp) >= 0
+        and power_compare(min_gcd, r, *GCD_EXP) >= 0
     )
 
     # gcd(p - 1, q - 1) is even, so gcd < r**0.1 is the strictest pairwise
     # bound that can hold here: it admits 2 and rejects 4 (r**0.1 ~ 3.98).
-    tight = ThresholdConfig(gcd_exp=(1, 10))
-    assert power_compare(2, r, *tight.gcd_exp) < 0
-    assert power_compare(4, r, *tight.gcd_exp) >= 0
+    tight = (1, 10)
+    assert power_compare(2, r, *tight) < 0
+    assert power_compare(4, r, *tight) >= 0
     w = find_tuple(r, tight).witness
     check = verify_tuple(w, tight) if w is not None else None
     witness_ok = (
@@ -146,7 +147,7 @@ def test_c5_six_prime_witness():
         and set(w.pair_gcds) == {2}
         and check.conditions_ok
         and check.bound_ok
-        and power_compare(w.lcm_m, r, *DEFAULT_THRESHOLDS.lcm_exp) > 0
+        and power_compare(w.lcm_m, r, *LCM_EXP) > 0
     )
 
     detail = (

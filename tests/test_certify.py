@@ -61,7 +61,6 @@ def test_cutoffs_are_enforced():
         s_upper(1, 50, cutoff=49)
     with pytest.raises(ValueError):
         s_upper_closed(300, 5)
-    s_upper_closed(300, 5, cutoff=300)  # explicit cutoff admits it
 
 
 def test_instance_validation():

@@ -320,3 +320,80 @@ def test_benchmark_tracer_layers_resolve_and_fire(tmp_path, monkeypatch):
     fired = {tracer.names[i] for i in tracer.name_of}
     assert {"certify.classify", "cli.chunk", "cli.write", "records.serialize",
             "experiments.small_order_census", "certify.s_lower"} <= fired
+
+
+@pytest.mark.parametrize("name", ["interval", "order", "lcm"])
+def test_lemma2_has_only_the_gcd_threshold_flag(name, capsys):
+    # the interval, order and lcm exponents are fixed; only gcd is a flag
+    assert run_cli(["lemma2", "--r", "100", f"--{name}-exp", "1/2"]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("first, second, complaint", [
+    ((3023, None), (3024, "5000"), "holds undecided for n=3023"),
+    ((3023, "5000"), (3024, None), "holds oracle_nonintegral for n=3023"),
+], ids=["undecided-then-larger-budget", "oracle-then-default-budget"])
+def test_scan_resume_refuses_records_of_another_budget(first, second, complaint, tmp_path, capsys):
+    # n = 3023 at r = 1 has no certificate, so the oracle budget decides its record
+    path = tmp_path / "scan.jsonl"
+
+    def scan(hi, cutoff):
+        budget = [] if cutoff is None else ["--oracle-cutoff", cutoff]
+        return run_cli(["scan", "--r", "1", "--n-start", "3023", "--n-end", str(hi),
+                        "--threads", "1", "--out", str(path)] + budget)
+
+    assert scan(*first) == 0
+    before = path.read_bytes()
+    capsys.readouterr()
+    assert scan(*second) == 2
+    assert complaint in capsys.readouterr().err
+    assert path.read_bytes() == before
+
+
+def test_scan_resume_accepts_another_budget_that_agrees(tmp_path):
+    path = tmp_path / "scan.jsonl"
+    base = ["scan", "--r", "1", "--n-start", "3023", "--threads", "1", "--out", str(path)]
+    assert run_cli(base + ["--n-end", "3023", "--oracle-cutoff", "5000"]) == 0
+    assert run_cli(base + ["--n-end", "3024", "--oracle-cutoff", "4000"]) == 0
+    kinds = [json.loads(line)["classification"] for line in path.read_text().splitlines()]
+    assert kinds == ["oracle_nonintegral", "certified_nonintegral"]
+
+
+def test_scan_resume_rejects_unknown_classification(tmp_path, capsys):
+    path = tmp_path / "scan.jsonl"
+    path.write_text('{"classification":"proved","n":"1","r":"4"}\n')
+    before = path.read_bytes()
+    assert run_cli(["scan", "--r", "4", "--n-start", "1", "--n-end", "10", "--out", str(path)]) == 2
+    assert "unknown classification 'proved'" in capsys.readouterr().err
+    assert path.read_bytes() == before
+
+
+def test_scan_pool_has_no_more_workers_than_chunks(monkeypatch, capsys):
+    import binsum.cli as cli_mod
+
+    sizes = []
+
+    class FakePool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, func, tasks):
+            return map(func, tasks)
+
+    monkeypatch.setattr(cli_mod.multiprocessing, "Pool", FakePool)
+    for n_end, threads, expected in [
+        (600, 8, [2]),    # two chunks: two workers, not eight
+        (2000, 3, [3]),   # four chunks: as many workers as asked
+        (600, 1, []),     # one worker: no pool
+        (512, 8, []),     # one chunk: no pool
+    ]:
+        sizes.clear()
+        assert run_cli(["scan", "--r", "23", "--n-start", "1", "--n-end", str(n_end), "--threads", str(threads)]) == 0
+        assert sizes == expected
+        assert len(capsys.readouterr().out.splitlines()) == n_end

@@ -3,27 +3,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from binsum.exact import binomial, floor_power, nth_root, power_compare, valuation
+from binsum.exact import floor_power, nth_root, power_compare, valuation
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
-
-
-def test_binomial_examples():
-    assert binomial(5, 2) == 10
-    assert binomial(7, 0) == 1
-    assert binomial(4, 6) == 0
-
-
-def test_binomial_rejects_negative():
-    with pytest.raises(ValueError):
-        binomial(-1, 2)
-    with pytest.raises(ValueError):
-        binomial(3, -2)
-
-
-@given(st.integers(1, 200), st.integers(1, 200))
-def test_binomial_pascal_rule(n, k):
-    assert binomial(n, k) == binomial(n - 1, k - 1) + binomial(n - 1, k)
 
 
 def test_valuation_examples():

@@ -7,8 +7,10 @@ import pytest
 
 from binsum.exact import power_compare
 from binsum.experiments import (
-    DEFAULT_THRESHOLDS,
-    ThresholdConfig,
+    GCD_EXP,
+    INTERVAL_EXP,
+    LCM_EXP,
+    ORDER_EXP,
     find_tuple,
     gap_probe,
     m_of_r,
@@ -21,14 +23,14 @@ from binsum.ntheory import is_prime, order2, primes_in, smooth_divisor
 # gcd(p-1, q-1) is even for odd primes, so the default gcd threshold
 # gcd < r**0.001 is vacuous below r = 2**1000; tests that need a witness
 # relax it to gcd < r.
-RELAXED = ThresholdConfig(gcd_exp=(1, 1))
+RELAXED = (1, 1)
 
 
 def test_default_thresholds():
-    assert DEFAULT_THRESHOLDS.interval_exp == (61, 100)
-    assert DEFAULT_THRESHOLDS.order_exp == (3, 10)
-    assert DEFAULT_THRESHOLDS.gcd_exp == (1, 1000)
-    assert DEFAULT_THRESHOLDS.lcm_exp == (2597, 500)
+    assert INTERVAL_EXP == (61, 100)
+    assert ORDER_EXP == (3, 10)
+    assert GCD_EXP == (1, 1000)
+    assert LCM_EXP == (2597, 500)
 
 
 def test_find_tuple_small_r_diagnostics():
@@ -49,14 +51,14 @@ def test_find_tuple_default_thresholds_blocked_by_parity():
         lo, hi = res.interval
         passing = [
             p for p in primes_in(lo, hi)
-            if power_compare(order2(p), r, *DEFAULT_THRESHOLDS.order_exp) > 0
+            if power_compare(order2(p), r, *ORDER_EXP) > 0
         ]
         assert len(passing) == res.order_passed
         if len(passing) < 2:
             continue
         # the cause: every pairwise gcd is even, and the default bound rejects 2
         assert all(gcd(p - 1, q - 1) % 2 == 0 for p, q in combinations(passing, 2))
-        assert power_compare(2, r, *DEFAULT_THRESHOLDS.gcd_exp) >= 0
+        assert power_compare(2, r, *GCD_EXP) >= 0
 
 
 def test_find_tuple_rejects_r_below_two():
