@@ -109,11 +109,6 @@ def s_upper_closed(r: int, n: int) -> Fraction:
     return Fraction(total, den)
 
 
-def complement_check(r: int, n: int) -> bool:
-    """True iff s_lower + s_upper equals 2**n exactly."""
-    return s_lower(r, n) + s_upper(r, n) == 1 << n
-
-
 @dataclass(frozen=True)
 class SylvesterPrime:
     """Prime p > n with p | k0 + r: the k0 term of s_lower alone carries p

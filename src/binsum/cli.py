@@ -13,8 +13,8 @@ overwrites a non-empty ``--out`` file: only a jsonl scan resumes one.
 
 Exit status: 0 = completed and no integral value seen, 1 = some instance
 evaluated to an integer (a counterexample to the nonintegrality
-conjecture) or an identity violation (identity), 2 = usage or
-configuration error.
+conjecture) or an identity violation (identity), 2 = usage,
+configuration or I/O error.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .certify import (
     OracleIntegral,
     _check_instance,
     classify,
-    complement_check,
     s_lower,
     s_upper,
     s_upper_closed,
@@ -193,8 +192,9 @@ def _cmd_identity(args) -> _Output:
         nonlocal bad
         for r in range(1, r_max + 1):
             for n in range(1, n_max + 1):
-                closed_ok = s_upper(r, n) == s_upper_closed(r, n)
-                comp_ok = complement_check(r, n)
+                upper = s_upper(r, n)
+                closed_ok = upper == s_upper_closed(r, n)
+                comp_ok = s_lower(r, n) + upper == 1 << n
                 bad += not (closed_ok and comp_ok)
                 yield _record(r=r, n=n, closed_form_ok=closed_ok, complement_ok=comp_ok)
 
@@ -217,9 +217,9 @@ def _cmd_certify(args) -> _Output:
     return [classification_record(r, n, outcome)], to_human_line, lambda: EXIT_FOUND if found else EXIT_OK
 
 
-def _classify_chunk(task: tuple[int, range, int]) -> list[tuple[int, dict]]:
+def _classify_chunk(task: tuple[int, range, int]) -> list[dict]:
     r, ns, oracle_cutoff = task
-    return [(n, classification_record(r, n, classify(r, n, oracle_cutoff))) for n in ns]
+    return [classification_record(r, n, classify(r, n, oracle_cutoff)) for n in ns]
 
 
 def _resuming(args) -> bool:
@@ -238,19 +238,23 @@ def _load_resume(path: str, r: int, n_start: int, n_end: int, oracle_cutoff: int
     Every record must be one this oracle_cutoff would write, so a file never
     mixes budgets: `undecided` only above it, an oracle value only at or
     below it.  A final line without its newline, the torn tail of a killed
-    run, is skipped here; main cuts it off before appending."""
+    run, is cut off once every complete line has passed these checks, so
+    main can append.  The file is read one line at a time."""
     done = 0
     integral = 0
-    with open(path, encoding="utf-8", newline="") as handle:
+    size = 0  # bytes in the complete lines read so far
+    with open(path, "rb") as handle:
         for lineno, line in enumerate(handle, 1):
-            if not line.endswith("\n"):
+            if not line.endswith(b"\n"):
                 print(f"binsum: {path}:{lineno}: dropping a torn final line", file=sys.stderr)
+                os.truncate(path, size)
                 break
+            size += len(line)
             line = line.strip()
             if not line:
                 continue
             try:
-                n, kind = parse_scan_line(line, r)
+                n, kind = parse_scan_line(line.decode("utf-8"), r)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: not a scan record for r={r}: {exc}")
             if n != n_start + done:
@@ -289,7 +293,7 @@ def _cmd_scan(args) -> _Output:
         workers = min(threads, -(-len(todo) // _SCAN_CHUNK))  # never more workers than chunks
         with multiprocessing.Pool(processes=workers) if workers > 1 else contextlib.nullcontext() as pool:
             for chunk in pool.imap(_classify_chunk, tasks) if pool else map(_classify_chunk, tasks):
-                for _, rec in chunk:
+                for rec in chunk:
                     counts[rec["classification"]] = counts.get(rec["classification"], 0) + 1
                     yield rec
 
@@ -363,21 +367,18 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         # Handlers check their arguments before --out is opened: a rejected call leaves files alone.
-        append = _resuming(args)
+        _resuming(args)  # refuses a non-empty --out unless a jsonl scan resumes it
         records, human, status = args.handler(args)
         if args.out is None:
             target = contextlib.nullcontext(sys.stdout)
-        else:
-            target = open(args.out, "a" if append else "w", encoding="utf-8", newline="")
+        else:  # a new or empty file, or a scan file whose records were checked
+            target = open(args.out, "a", encoding="utf-8", newline="")
         with target as stream:
-            if append:  # cut off the torn final line a killed scan may have left
-                with open(args.out, "rb") as old:
-                    stream.truncate(old.read().rfind(b"\n") + 1)
             writer = _Writer(stream, args.format, human)
             for rec in records:
                 writer.write(rec)
         return status()
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"binsum: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

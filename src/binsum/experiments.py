@@ -20,7 +20,6 @@ from .certify import (
     ORACLE_CUTOFF,
     CertifiedNonintegral,
     OracleIntegral,
-    Undecided,
     _check_instance,
     classify,
 )
@@ -32,7 +31,6 @@ LCM_PREFIX = 4  # the lcm bound uses the four smallest primes of the tuple
 
 CENSUS_LIMIT = 10**7
 SCAN_RANGE_LIMIT = 10**7
-UNDECIDED_LIMIT = 100  # undecided n listed per ScanReport
 SMOOTH_WORK_LIMIT = 10**9
 
 # Exponent thresholds of the six-prime witness search, as (num, den) pairs:
@@ -195,14 +193,13 @@ class ScanReport:
     counts: dict[str, int] = field(default_factory=dict)
     cert_counts: dict[str, int] = field(default_factory=dict)
     integral_witnesses: list[int] = field(default_factory=list)
-    undecided: list[int] = field(default_factory=list)  # the first UNDECIDED_LIMIT
 
     @property
     def total(self) -> int:
         return sum(self.counts.values())
 
 
-def scan_density(r: int, n_lo: int, n_hi: int, oracle_cutoff: int = ORACLE_CUTOFF) -> ScanReport:
+def scan_density(r: int, n_lo: int, n_hi: int) -> ScanReport:
     """Classify every n in [n_lo, n_hi] and tally the outcomes.
 
     The aggregate is deterministic: splitting the range and summing the
@@ -217,16 +214,13 @@ def scan_density(r: int, n_lo: int, n_hi: int, oracle_cutoff: int = ORACLE_CUTOF
     counts = {k: 0 for k in CLASSIFICATION_KINDS}
     cert_counts = {k: 0 for k in CERTIFICATE_KINDS}
     integral: list[int] = []
-    undecided: list[int] = []
     for n in range(n_lo, n_hi + 1):
-        outcome = classify(r, n, oracle_cutoff)
+        outcome = classify(r, n, ORACLE_CUTOFF)
         counts[outcome.kind] += 1
         if isinstance(outcome, CertifiedNonintegral):
             cert_counts[outcome.certificate.kind] += 1
         elif isinstance(outcome, OracleIntegral):
             integral.append(n)
-        elif isinstance(outcome, Undecided) and len(undecided) < UNDECIDED_LIMIT:
-            undecided.append(n)
     return ScanReport(
         r=r,
         n_lo=n_lo,
@@ -234,7 +228,6 @@ def scan_density(r: int, n_lo: int, n_hi: int, oracle_cutoff: int = ORACLE_CUTOF
         counts=counts,
         cert_counts=cert_counts,
         integral_witnesses=integral,
-        undecided=undecided,
     )
 
 

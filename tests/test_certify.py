@@ -13,7 +13,6 @@ from binsum.certify import (
     SylvesterPrime,
     Undecided,
     classify,
-    complement_check,
     order_certificate,
     s_lower,
     s_upper,
@@ -73,9 +72,8 @@ def test_instance_validation():
 
 
 def test_complement_examples():
-    assert complement_check(1, 2)
-    assert complement_check(2, 1)
-    assert complement_check(3, 4)
+    for r, n in [(1, 2), (2, 1), (3, 4)]:
+        assert s_lower(r, n) + s_upper(r, n) == 2**n
 
 
 @given(st.integers(1, 15), st.integers(1, 60))

@@ -204,11 +204,43 @@ def test_golden_output(case, dest, tmp_path, capsys):
 def test_identity_exit_1_on_violation(monkeypatch, capsys):
     import binsum.cli as cli_mod
 
-    monkeypatch.setattr(cli_mod, "complement_check", lambda r, n: (r, n) != (2, 3))
+    true_lower = cli_mod.s_lower
+    monkeypatch.setattr(cli_mod, "s_lower", lambda r, n: true_lower(r, n) + ((r, n) == (2, 3)))
     assert run_cli(["identity", "--r-max", "2", "--n-max", "3"]) == 1
     got = capsys.readouterr()
     assert "1 violations" in got.err
     assert [json.loads(line)["complement_ok"] for line in got.out.splitlines()].count(False) == 1
+
+
+def test_identity_evaluates_each_sum_once_per_grid_point(monkeypatch, capsys):
+    import binsum.certify as certify_mod
+    import binsum.cli as cli_mod
+
+    calls = {"s_lower": 0, "s_upper": 0, "s_upper_closed": 0}
+
+    def counted(name, fn):
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return spy
+
+    for module in (cli_mod, certify_mod):
+        for name in calls:
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    assert run_cli(["identity", "--r-max", "2", "--n-max", "3"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 6
+    assert calls == {"s_lower": 6, "s_upper": 6, "s_upper_closed": 6}
+
+
+@pytest.mark.parametrize("argv", [
+    ["gaps", "--n", "5"],
+    ["scan", "--r", "4", "--n-start", "1", "--n-end", "30", "--threads", "1"],
+], ids=["gaps", "scan"])
+def test_unopenable_out_exits_2(argv, tmp_path, capsys):
+    path = tmp_path / "missing" / "x.jsonl"
+    assert run_cli(argv + ["--out", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("binsum: error: ") and "x.jsonl" in err
 
 
 @pytest.mark.parametrize("command", [
@@ -259,6 +291,35 @@ def test_scan_resume_drops_torn_final_line(tmp_path, capsys):
     assert run_cli(base + ["--out", str(partial)]) == 0
     assert "part.jsonl:121: dropping a torn final line" in capsys.readouterr().err
     assert partial.read_bytes() == full.read_bytes()
+
+
+def test_scan_resume_reads_a_large_file_in_bounded_memory(tmp_path, capsys):
+    # a synthetic prefix of several MB ending in a torn line: resuming it must
+    # not hold the whole file, and must append exactly the record for the torn n
+    import tracemalloc
+
+    start, count = 10**9, 50_000
+    torn = start + count
+    line = '{{"certificate":{{"k0":"1","p":"{p}","type":"sylvester"}},"classification":"certified_nonintegral","n":"{n}","r":"23"}}\n'
+    prefix = "".join(line.format(p=n + 1, n=n) for n in range(start, torn)).encode()
+    one = tmp_path / "one.jsonl"
+    assert run_cli(["scan", "--r", "23", "--n-start", str(torn), "--n-end", str(torn), "--out", str(one)]) == 0
+    path = tmp_path / "big.jsonl"
+    path.write_bytes(prefix + one.read_bytes()[:40])
+    size = path.stat().st_size
+    assert size > 5 * 2**20
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        code = run_cli(["scan", "--r", "23", "--n-start", str(start), "--n-end", str(torn),
+                        "--threads", "1", "--out", str(path)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert f"big.jsonl:{count + 1}: dropping a torn final line" in capsys.readouterr().err
+    assert peak < size / 4
+    assert path.read_bytes() == prefix + one.read_bytes()
 
 
 @pytest.mark.parametrize("first, second, complaint", [

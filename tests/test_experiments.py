@@ -144,7 +144,6 @@ def test_scan_report_merge_is_partition_invariant():
             parts = (getattr(left, field), getattr(right, field))
             assert {k: parts[0][k] + parts[1][k] for k in parts[0]} == getattr(whole, field)
         assert left.integral_witnesses + right.integral_witnesses == whole.integral_witnesses
-        assert left.undecided + right.undecided == whole.undecided
 
 
 def test_census_examples():
