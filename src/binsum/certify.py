@@ -35,19 +35,14 @@ direct exact evaluation when the instance is small enough.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import lcm
 from typing import Optional, Union
 
-from .ntheory import (
-    U64_LIMIT,
-    _TRIAL_LIMIT,
-    _factorize,
-    is_prime,
-    primes_upto,
-)
+from .ntheory import U64_LIMIT, _TRIAL_LIMIT, _TRIAL_PRIMES, _factorize, is_prime
 
 # Cost guard for direct summation; C(n, k) and the lcm of the denominators
 # grow superexponentially in n.
@@ -241,9 +236,7 @@ def order_certificate(r: int, n: int) -> Optional[OrderCertificate]:
     and is the reference the tests compare the fast path against.
     """
     _check_instance(r, n)
-    for q in primes_upto(_TRIAL_LIMIT):
-        if q == 2 or q <= r:
-            continue
+    for q in _TRIAL_PRIMES[bisect_right(_TRIAL_PRIMES, max(r, 2)) :]:
         j = -n % q or q
         if j <= r and pow(2, n + j, q) != 1:
             return OrderCertificate(p=q, j=j)

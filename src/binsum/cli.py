@@ -72,13 +72,14 @@ class _Writer:
         self.fmt = fmt
         self.human = human
         if fmt == "csv":
-            csv.writer(stream, lineterminator="\n").writerow(CSV_COLUMNS)
+            self.csv = csv.writer(stream, lineterminator="\n")
+            self.csv.writerow(CSV_COLUMNS)
 
     def write(self, rec: dict) -> None:
         if self.fmt == "jsonl":
             self.stream.write(to_json_line(rec) + "\n")
         elif self.fmt == "csv":
-            csv.writer(self.stream, lineterminator="\n").writerow(to_csv_row(rec))
+            self.csv.writerow(to_csv_row(rec))
         else:
             self.stream.write(self.human(rec) + "\n")
 

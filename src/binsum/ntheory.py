@@ -27,6 +27,7 @@ _TRIAL_LIMIT = 1000          # trial-divide by all primes below this first
 _SEGMENT = 1 << 18           # segment width for windowed sieving
 _DENSE_ROOT_LIMIT = 1 << 22  # sieve windows when isqrt(b) fits below this
 _NARROW_FACTOR = 4           # see primes_in: the per-candidate switch
+_PRIME_CACHE_SIZE = 2048     # answers is_prime keeps; see is_prime
 
 _small_primes: list[int] = []
 _small_limit = 0
@@ -50,8 +51,25 @@ def primes_upto(n: int) -> list[int]:
     return _small_primes[: bisect_right(_small_primes, n)]
 
 
+_TRIAL_PRIMES = tuple(primes_upto(_TRIAL_LIMIT))
+
+
+@lru_cache(maxsize=_PRIME_CACHE_SIZE)
 def is_prime(m: int) -> bool:
-    """Deterministic primality test for 1 <= m < 2**64."""
+    """Deterministic primality test for 1 <= m < 2**64.
+
+    The answer depends on m alone, so a cached answer is the one a fresh
+    test would give, whatever was asked before; a call that raises is not
+    cached and raises again.  Correctness never depends on the cache.
+
+    The cache serves the sylvester walk over consecutive n.  For n >= r it
+    tests n+1, n+2, ... up to the first prime above n or up to n + r:
+    min(r, g(n)) integers, with g(n) the gap from n to the next prime.  The
+    walk for n + 1 repeats the one for n but for its first integer, so a
+    scan tests each integer once while the cache holds a whole walk; an LRU
+    cache shorter than the walk misses on every integer of it.  No prime
+    gap below 2**64 exceeds 1550, so 2048 entries hold every such walk.
+    """
     if not 1 <= m < U64_LIMIT:
         raise ValueError(f"is_prime domain is [1, 2**64): got {m}")
     for p in _TINY_PRIMES:
@@ -118,7 +136,7 @@ def _rho_factor(m: int) -> int:
 @lru_cache(maxsize=1 << 16)
 def _factorize(m: int) -> tuple[tuple[int, int], ...]:
     factors: dict[int, int] = {}
-    for p in primes_upto(_TRIAL_LIMIT):
+    for p in _TRIAL_PRIMES:
         if p * p > m:
             break
         while m % p == 0:

@@ -62,8 +62,11 @@ def classification_record(r: int, n: int, outcome: Classification) -> dict:
     return rec
 
 
+_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def to_json_line(rec: dict) -> str:
-    return json.dumps(rec, sort_keys=True, separators=(",", ":"))
+    return _JSON.encode(rec)
 
 
 def to_csv_row(rec: dict) -> list[str]:

@@ -20,7 +20,7 @@ from binsum.certify import (
     sylvester_certificate,
 )
 from binsum import certify, ntheory
-from binsum.ntheory import _TRIAL_LIMIT, factorize, order2
+from binsum.ntheory import _TRIAL_LIMIT, factorize, is_prime, order2
 
 
 def test_s_lower_examples():
@@ -284,6 +284,39 @@ def test_classify_undecided_past_cutoff():
 
 def test_classify_deterministic():
     assert classify(7, 60, oracle_cutoff=100) == classify(7, 60, oracle_cutoff=100)
+
+
+def test_scan_at_2_62_tests_each_integer_once():
+    # the walk for n + 1 repeats the one for n minus its first integer, so
+    # a scan misses the primality cache at most once per integer it reaches
+    n0 = 2**62
+    is_prime.cache_clear()
+    outcomes = [classify(7, n) for n in range(n0, n0 + 2048)]
+    # no order search here falls back to factoring, which tests other integers
+    assert all(o.certificate.kind == "sylvester" or o.certificate.p < _TRIAL_LIMIT for o in outcomes)
+    assert is_prime.cache_info().misses <= 2048 + 7
+
+
+def test_long_walks_stay_cached_and_match_the_uncached_walk(monkeypatch):
+    p = 1693182318746371  # prime; the next prime is p + 1132
+    window = range(p, p + 64)
+    is_prime.cache_clear()
+    cached = [classify(1200, n) for n in window]
+    assert is_prime.cache_info().misses <= 1132 + 64 + 8
+    monkeypatch.setattr(certify, "is_prime", is_prime.__wrapped__)
+    assert [classify(1200, n) for n in window] == cached
+    assert {o.certificate.p for o in cached} == {p + 1132}
+
+
+def test_classify_does_not_depend_on_cache_history():
+    window = range(2**62 + 5000, 2**62 + 5300)
+    is_prime.cache_clear()
+    ascending = [classify(7, n) for n in window]
+    warm_descending = [classify(7, n) for n in reversed(window)][::-1]
+    is_prime.cache_clear()
+    cold_descending = [classify(7, n) for n in reversed(window)][::-1]
+    warm_ascending = [classify(7, n) for n in window]
+    assert ascending == warm_descending == cold_descending == warm_ascending
 
 
 @given(st.integers(1, 30), st.integers(1, 200))

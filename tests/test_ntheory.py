@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from binsum import certify, ntheory
+from binsum import ntheory
 from binsum.certify import OrderCertificate, classify
 from binsum.ntheory import (
     U64_LIMIT,
@@ -39,10 +39,11 @@ def test_is_prime_agrees_with_trial_division():
 
 
 def test_is_prime_rejects_out_of_domain():
-    with pytest.raises(ValueError):
-        is_prime(0)
-    with pytest.raises(ValueError):
-        is_prime(U64_LIMIT)
+    for _ in range(2):  # a raising call is not cached, so it raises again
+        with pytest.raises(ValueError):
+            is_prime(0)
+        with pytest.raises(ValueError):
+            is_prime(U64_LIMIT)
 
 
 def test_primes_upto_matches_trial_division():
@@ -222,10 +223,11 @@ def test_primes_in_paths_agree_around_the_switch(n, monkeypatch):
 def test_narrow_window_at_1e12_builds_no_base_primes(monkeypatch):
     calls = []
     real_primes_upto = ntheory.primes_upto
-    for module in (ntheory, certify):
-        monkeypatch.setattr(module, "primes_upto", lambda m: calls.append(m) or real_primes_upto(m))
+    monkeypatch.setattr(ntheory, "primes_upto", lambda m: calls.append(m) or real_primes_upto(m))
     a = 10**12
     assert primes_in(a, a + 7) == plain_primes_in(a, a + 7)
-    # (a + 1, a + 8] holds no prime, so both certificate searches run
-    assert classify(7, a + 1).certificate == OrderCertificate(p=17, j=3)
     assert not [m for m in calls if m > 10**5], calls
+    # (a + 1, a + 8] holds no prime, so both certificate searches run, on
+    # the trial primes built at import
+    assert classify(7, a + 1).certificate == OrderCertificate(p=17, j=3)
+    assert calls == []
