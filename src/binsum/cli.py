@@ -8,7 +8,8 @@ primes), msmooth (windowed smooth-divisor statistics), gaps (next-prime
 probe).
 
 Each handler returns (records, human-line formatter, exit-status callable);
-``main`` alone writes the records, to stdout or to ``--out``.  It never
+``main`` alone writes the records, to stdout or to ``--out``.  A scan's
+records arrive as text: its workers classify and format each chunk.  It never
 overwrites a non-empty ``--out`` file: only a jsonl scan resumes one.
 
 Exit status: 0 = completed and no integral value seen, 1 = some instance
@@ -22,10 +23,12 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import io
 import multiprocessing
 import os
 import sys
 import time
+from collections import Counter
 from typing import Callable, Iterable, Optional, TextIO
 
 from .certify import (
@@ -48,6 +51,7 @@ from .experiments import (
 )
 from .records import (
     CSV_COLUMNS,
+    classification_line,
     classification_record,
     parse_scan_line,
     to_csv_row,
@@ -61,11 +65,12 @@ EXIT_USAGE = 2
 
 _SCAN_CHUNK = 512
 
-_Output = tuple[Iterable[dict], Callable[[dict], str], Callable[[], int]]
+_Output = tuple[Iterable[dict | str], Callable[[dict], str], Callable[[], int]]
 
 
 class _Writer:
-    """Single-destination record writer for one of the three formats."""
+    """Single-destination writer for one of the three formats.  It takes
+    records, or text already in its format (a scan chunk's lines)."""
 
     def __init__(self, stream: TextIO, fmt: str, human: Callable[[dict], str]):
         self.stream = stream
@@ -75,8 +80,10 @@ class _Writer:
             self.csv = csv.writer(stream, lineterminator="\n")
             self.csv.writerow(CSV_COLUMNS)
 
-    def write(self, rec: dict) -> None:
-        if self.fmt == "jsonl":
+    def write(self, rec: dict | str) -> None:
+        if isinstance(rec, str):
+            self.stream.write(rec)
+        elif self.fmt == "jsonl":
             self.stream.write(to_json_line(rec) + "\n")
         elif self.fmt == "csv":
             self.csv.writerow(to_csv_row(rec))
@@ -97,6 +104,13 @@ def _record(**fields) -> dict:
         return str(value) if type(value) is int else value
 
     return {k: [text(x) for x in v] if isinstance(v, (list, tuple)) else text(v) for k, v in fields.items()}
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _parse_exponent(text: str) -> tuple[int, int]:
@@ -139,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-start", type=int, required=True)
     p.add_argument("--n-end", type=int, required=True)
     p.add_argument("--oracle-cutoff", type=int, default=ORACLE_CUTOFF)
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--threads", type=int, default=_usable_cpus())
 
     p = sub.add_parser("lemma2", help="six-prime short-interval witness search")
     p.set_defaults(handler=_cmd_lemma2)
@@ -218,9 +232,23 @@ def _cmd_certify(args) -> _Output:
     return [classification_record(r, n, outcome)], to_human_line, lambda: EXIT_FOUND if found else EXIT_OK
 
 
-def _classify_chunk(task: tuple[int, range, int]) -> list[dict]:
-    r, ns, oracle_cutoff = task
-    return [classification_record(r, n, classify(r, n, oracle_cutoff)) for n in ns]
+def _classify_chunk(task: tuple[int, range, int, str]) -> tuple[Counter, str]:
+    """Classify a chunk of n and format its records where it ran: returns
+    the count of each classification and the chunk's lines in the format,
+    newline-terminated (csv without the header, which the writer adds)."""
+    r, ns, oracle_cutoff, fmt = task
+    outcomes = [(n, classify(r, n, oracle_cutoff)) for n in ns]
+    counts = Counter(outcome.kind for _, outcome in outcomes)
+    if fmt == "jsonl":
+        lines = [classification_line(r, n, outcome) for n, outcome in outcomes]
+    elif fmt == "csv":
+        text = io.StringIO()
+        csv.writer(text, lineterminator="\n").writerows(
+            to_csv_row(classification_record(r, n, outcome)) for n, outcome in outcomes)
+        return counts, text.getvalue()
+    else:
+        lines = [to_human_line(classification_record(r, n, outcome)) for n, outcome in outcomes]
+    return counts, "".join(line + "\n" for line in lines)
 
 
 def _resuming(args) -> bool:
@@ -286,24 +314,23 @@ def _cmd_scan(args) -> _Output:
     done, prior_integral = _load_resume(args.out, r, n_start, n_end, oracle_cutoff) if resuming else (0, 0)
 
     todo = range(n_start + done, n_end + 1)
-    tasks = ((r, todo[i : i + _SCAN_CHUNK], oracle_cutoff) for i in range(0, len(todo), _SCAN_CHUNK))
-    counts: dict[str, int] = {}
+    tasks = ((r, todo[i : i + _SCAN_CHUNK], oracle_cutoff, args.format) for i in range(0, len(todo), _SCAN_CHUNK))
+    counts: Counter = Counter()
     t0 = time.perf_counter()
 
     def records():
         workers = min(threads, -(-len(todo) // _SCAN_CHUNK))  # never more workers than chunks
         with multiprocessing.Pool(processes=workers) if workers > 1 else contextlib.nullcontext() as pool:
-            for chunk in pool.imap(_classify_chunk, tasks) if pool else map(_classify_chunk, tasks):
-                for rec in chunk:
-                    counts[rec["classification"]] = counts.get(rec["classification"], 0) + 1
-                    yield rec
+            for chunk_counts, text in pool.imap(_classify_chunk, tasks) if pool else map(_classify_chunk, tasks):
+                counts.update(chunk_counts)
+                yield text
 
     def status() -> int:
         elapsed = time.perf_counter() - t0
         skipped = f", {done} already present" if resuming else ""
         summary = ", ".join(f"{k}={v}" for k, v in sorted(counts.items())) or "nothing to do"
         print(f"scan r={r}, n in [{n_start}, {n_end}]: {summary}{skipped} ({elapsed:.2f}s)", file=sys.stderr)
-        integral = prior_integral + counts.get("oracle_integral", 0)
+        integral = prior_integral + counts["oracle_integral"]
         if integral:
             print(f"INTEGRAL VALUE FOUND: {integral} instance(s)", file=sys.stderr)
             return EXIT_FOUND

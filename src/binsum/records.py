@@ -69,6 +69,25 @@ def to_json_line(rec: dict) -> str:
     return _JSON.encode(rec)
 
 
+# to_json_line(classification_record(...)) of a certified outcome, with the
+# keys in sorted order: the certificate's fields, classification, n, r.
+_SYLVESTER_LINE = '{"certificate":{"k0":"%d","p":"%d","type":"sylvester"},"classification":"certified_nonintegral","n":"%d","r":"%d"}'
+_ORDER_LINE = '{"certificate":{"j":"%d","p":"%d","type":"order"},"classification":"certified_nonintegral","n":"%d","r":"%d"}'
+
+
+def classification_line(r: int, n: int, outcome: Classification) -> str:
+    """The jsonl line of one classification, without its newline: byte for
+    byte to_json_line(classification_record(r, n, outcome)).  A certified
+    outcome fills a fixed template; the rare others take the general path."""
+    if type(outcome) is CertifiedNonintegral:
+        cert = outcome.certificate
+        if type(cert) is SylvesterPrime:
+            return _SYLVESTER_LINE % (cert.k0, cert.p, n, r)
+        if type(cert) is OrderCertificate:
+            return _ORDER_LINE % (cert.j, cert.p, n, r)
+    return to_json_line(classification_record(r, n, outcome))
+
+
 def to_csv_row(rec: dict) -> list[str]:
     cert = rec.get("certificate", {})
     row = {

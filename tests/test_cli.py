@@ -56,15 +56,39 @@ def test_identity_subcommand(capsys):
     assert all(json.loads(line)["complement_ok"] for line in out)
 
 
-def test_scan_jsonl_sorted_and_thread_invariant(tmp_path):
-    one = tmp_path / "scan1.jsonl"
-    eight = tmp_path / "scan8.jsonl"
-    base = ["scan", "--r", "6", "--n-start", "1", "--n-end", "600", "--format", "jsonl"]
-    assert run_cli(base + ["--threads", "1", "--out", str(one)]) == 0
-    assert run_cli(base + ["--threads", "8", "--out", str(eight)]) == 0
-    assert one.read_bytes() == eight.read_bytes()
-    ns = [json.loads(line)["n"] for line in one.read_text().splitlines()]
-    assert ns == [str(n) for n in range(1, 601)]
+@pytest.mark.parametrize("dest", ["stdout", "out"])
+@pytest.mark.parametrize("fmt", ["jsonl", "csv", "human"])
+def test_scan_sorted_and_thread_and_format_invariant(fmt, dest, tmp_path, capsys):
+    # 1300 n make three chunks, which the pool formats apart and the writer joins
+    import io
+
+    from binsum.certify import classify
+    from binsum.cli import _Writer
+    from binsum.records import classification_record, to_human_line
+
+    r, n_end = 6, 1300
+
+    def scan(threads):
+        args = ["scan", "--r", str(r), "--n-start", "1", "--n-end", str(n_end), "--format", fmt, "--threads", str(threads)]
+        if dest == "stdout":
+            assert run_cli(args) == 0
+            text = capsys.readouterr().out
+        else:
+            path = tmp_path / f"scan{threads}.{fmt}"
+            assert run_cli(args + ["--out", str(path)]) == 0
+            text = path.read_bytes().decode()
+        return text.splitlines(keepends=True)  # a failure then names the first line that differs
+
+    one = scan(1)
+    assert scan(2) == one
+    expected = io.StringIO()
+    writer = _Writer(expected, fmt, to_human_line)  # the per-record path that certify takes
+    for n in range(1, n_end + 1):
+        writer.write(classification_record(r, n, classify(r, n)))
+    assert one == expected.getvalue().splitlines(keepends=True)
+    if fmt == "jsonl":
+        ns = [json.loads(line)["n"] for line in one]
+        assert ns == [str(n) for n in range(1, n_end + 1)]
 
 
 def test_scan_resume_skips_existing(tmp_path):
@@ -356,6 +380,31 @@ def test_scan_planning_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 5 * 2**20
+
+
+def test_parallel_scan_memory_is_bounded(tmp_path):
+    # the parent only writes each chunk's finished text, so finished chunks
+    # do not pile up in it while a long range runs
+    import tracemalloc
+
+    path = tmp_path / "scan.jsonl"
+    tracemalloc.start()
+    try:
+        code = run_cli(["scan", "--r", "23", "--n-start", "1", "--n-end", "40000", "--threads", "2", "--out", str(path)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 4 * 2**20
+
+
+@pytest.mark.parametrize("mask", [{0}, {2, 5, 7}], ids=["one-cpu", "three-cpus"])
+def test_scan_threads_default_to_the_usable_cpus(mask, monkeypatch):
+    import binsum.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod.os, "sched_getaffinity", lambda pid: mask, raising=False)
+    args = cli_mod.build_parser().parse_args(["scan", "--r", "1", "--n-start", "1", "--n-end", "2"])
+    assert args.threads == len(mask)
 
 
 def test_benchmark_tracer_layers_resolve_and_fire(tmp_path, monkeypatch):

@@ -1,0 +1,50 @@
+import random
+from collections import Counter
+from fractions import Fraction
+
+from binsum.certify import OracleIntegral, classify
+from binsum.records import classification_line, classification_record, to_json_line
+
+
+def reference(r, n, outcome):
+    return to_json_line(classification_record(r, n, outcome))
+
+
+def assert_lines_match(cases):
+    """classification_line equals the general encoder on every case; returns
+    the kinds seen (the certificate type for certified outcomes)."""
+    seen = Counter()
+    for r, n, outcome in cases:
+        assert classification_line(r, n, outcome) == reference(r, n, outcome), (r, n, outcome)
+        kind = outcome.kind
+        seen[outcome.certificate.kind if kind == "certified_nonintegral" else kind] += 1
+    return seen
+
+
+def test_template_lines_match_the_encoder_on_random_instances():
+    rng = random.Random(13)
+    cases = []
+    for lo, hi, r_max in [(1, 10**6, 300), (10**12, 10**12 + 10**6, 300), (2**62, 2**62 + 10**6, 300),
+                          (1, 10**6, 3000)]:
+        for _ in range(400):
+            r, n = rng.randint(1, r_max), rng.randint(lo, hi)
+            cases.append((r, n, classify(r, n)))
+    seen = assert_lines_match(cases)
+    assert seen["sylvester"] and seen["order"]
+    assert seen["sylvester"] + seen["order"] == len(cases)
+
+
+def test_template_lines_match_the_encoder_with_huge_r():
+    # r far above n: the sylvester search factors the window r+1..r+n
+    cases = [(r, n, classify(r, n)) for r in (10**6 + 3, 10**12, 2**62 - 1) for n in range(1, 8)]
+    assert assert_lines_match(cases)["sylvester"] == len(cases)
+
+
+def test_oracle_and_undecided_lines_match_the_encoder():
+    # r = 1 is the only r whose instances reach the oracle
+    cases = [(1, n, classify(1, n)) for n in range(1, 3001)]
+    cases += [(1, n, classify(1, n, oracle_cutoff=100)) for n in range(1, 3001)]
+    cases.append((1, 3, OracleIntegral(value=Fraction(4, 1))))
+    seen = assert_lines_match(cases)
+    assert seen["oracle_nonintegral"] and seen["undecided"] and seen["oracle_integral"] == 1
+
