@@ -59,11 +59,11 @@ def _check_instance(r: int, n: int) -> None:
         raise ValueError(f"instance exceeds the 2**64 scan domain: (r={r}, n={n})")
 
 
-def s_lower(r: int, n: int, *, cutoff: int = ORACLE_CUTOFF) -> Fraction:
+def s_lower(r: int, n: int) -> Fraction:
     """Exact value of sum_{k=1..n} k/(k+r) * C(n, k)."""
     _check_instance(r, n)
-    if n > cutoff:
-        raise ValueError(f"n={n} exceeds the evaluation cutoff {cutoff}")
+    if n > ORACLE_CUTOFF:
+        raise ValueError(f"n={n} exceeds the evaluation cutoff {ORACLE_CUTOFF}")
     den = reduce(lcm, range(r + 1, n + r + 1), 1)
     total = 0
     c = 1  # C(n, k), starting at k = 0
@@ -73,11 +73,11 @@ def s_lower(r: int, n: int, *, cutoff: int = ORACLE_CUTOFF) -> Fraction:
     return Fraction(total, den)
 
 
-def s_upper(r: int, n: int, *, cutoff: int = ORACLE_CUTOFF) -> Fraction:
+def s_upper(r: int, n: int) -> Fraction:
     """Exact value of sum_{k=0..n} r/(k+r) * C(n, k) by direct summation."""
     _check_instance(r, n)
-    if n > cutoff:
-        raise ValueError(f"n={n} exceeds the evaluation cutoff {cutoff}")
+    if n > ORACLE_CUTOFF:
+        raise ValueError(f"n={n} exceeds the evaluation cutoff {ORACLE_CUTOFF}")
     den = reduce(lcm, range(r, n + r + 1), 1)
     total = 0
     c = 1
@@ -170,7 +170,6 @@ class OracleIntegral:
 
 @dataclass(frozen=True)
 class Undecided:
-    reason: str
     kind = "undecided"
 
 
@@ -253,21 +252,20 @@ def order_certificate(r: int, n: int) -> Optional[OrderCertificate]:
     return OrderCertificate(p=best[0], j=best[1]) if best else None
 
 
-def classify(r: int, n: int, oracle_cutoff: int = ORACLE_CUTOFF) -> Classification:
+def classify(r: int, n: int) -> Classification:
     """Decide whether s_lower(r, n) is an integer.
 
     Certificates are tried in a fixed order (sylvester, then order); the
     first hit wins.  Otherwise the sum is evaluated exactly when
-    n <= oracle_cutoff; beyond that the instance is Undecided.  Results are
-    deterministic per oracle_cutoff.
+    n <= ORACLE_CUTOFF; beyond that the instance is Undecided.
     """
     _check_instance(r, n)
     cert: Optional[Certificate] = sylvester_certificate(r, n) or order_certificate(r, n)
     if cert is not None:
         return CertifiedNonintegral(certificate=cert)
-    if n <= oracle_cutoff:
-        value = s_lower(r, n, cutoff=oracle_cutoff)
+    if n <= ORACLE_CUTOFF:
+        value = s_lower(r, n)
         if value.denominator == 1:
             return OracleIntegral(value=value)
         return OracleNonintegral(value=value)
-    return Undecided(reason=f"no certificate; n exceeds oracle cutoff {oracle_cutoff}")
+    return Undecided()

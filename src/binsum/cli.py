@@ -26,6 +26,7 @@ import csv
 import io
 import multiprocessing
 import os
+import re
 import sys
 import time
 from collections import Counter
@@ -34,7 +35,6 @@ from typing import Callable, Iterable, Optional, TextIO
 from .certify import (
     CLOSED_FORM_CUTOFF,
     ORACLE_CUTOFF,
-    OracleIntegral,
     _check_instance,
     classify,
     s_lower,
@@ -70,23 +70,21 @@ _Output = tuple[Iterable[dict | str], Callable[[dict], str], Callable[[], int]]
 
 class _Writer:
     """Single-destination writer for one of the three formats.  It takes
-    records, or text already in its format (a scan chunk's lines)."""
+    records, or text already in its format (the classification lines of
+    certify and scan, the only commands that offer csv)."""
 
     def __init__(self, stream: TextIO, fmt: str, human: Callable[[dict], str]):
         self.stream = stream
         self.fmt = fmt
         self.human = human
         if fmt == "csv":
-            self.csv = csv.writer(stream, lineterminator="\n")
-            self.csv.writerow(CSV_COLUMNS)
+            stream.write(",".join(CSV_COLUMNS) + "\n")
 
     def write(self, rec: dict | str) -> None:
         if isinstance(rec, str):
             self.stream.write(rec)
         elif self.fmt == "jsonl":
             self.stream.write(to_json_line(rec) + "\n")
-        elif self.fmt == "csv":
-            self.csv.writerow(to_csv_row(rec))
         else:
             self.stream.write(self.human(rec) + "\n")
 
@@ -114,11 +112,10 @@ def _usable_cpus() -> int:
 
 
 def _parse_exponent(text: str) -> tuple[int, int]:
-    num, _, den = text.partition("/")
-    pair = (int(num), int(den) if den else 1)
-    if pair[0] < 1 or pair[1] < 1:
-        raise ValueError(f"exponent must be a positive fraction: got {text}")
-    return pair
+    match = re.fullmatch(r"0*([1-9][0-9]*)(?:/0*([1-9][0-9]*))?", text)
+    if match is None:
+        raise ValueError(f"exponent must be a positive fraction NUM or NUM/DEN: got {text!r}")
+    return int(match[1]), int(match[2] or 1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -134,7 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--upper", action="store_true", help="evaluate the complementary sum instead")
     p.add_argument("--closed", action="store_true", help="use the closed form (implies --upper)")
-    p.add_argument("--oracle-cutoff", type=int, default=ORACLE_CUTOFF)
 
     p = sub.add_parser("identity", help="closed-form and complement identity checks over a grid")
     p.set_defaults(handler=_cmd_identity)
@@ -145,14 +141,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_certify)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--oracle-cutoff", type=int, default=ORACLE_CUTOFF)
 
     p = sub.add_parser("scan", help="classify every n in a range for one r")
     p.set_defaults(handler=_cmd_scan)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--n-start", type=int, required=True)
     p.add_argument("--n-end", type=int, required=True)
-    p.add_argument("--oracle-cutoff", type=int, default=ORACLE_CUTOFF)
     p.add_argument("--threads", type=int, default=_usable_cpus())
 
     p = sub.add_parser("lemma2", help="six-prime short-interval witness search")
@@ -188,7 +182,7 @@ def _cmd_oracle(args) -> _Output:
     if args.closed:
         value = s_upper_closed(r, n)
     else:
-        value = (s_upper if args.upper else s_lower)(r, n, cutoff=args.oracle_cutoff)
+        value = (s_upper if args.upper else s_lower)(r, n)
     rec = _record(r=r, n=n, sum=which, value_numerator=value.numerator, value_denominator=value.denominator)
     human = f"(r={r}, n={n}) {which} sum = {value.numerator}/{value.denominator}"
     return [rec], lambda _: human, lambda: EXIT_FOUND if value.denominator == 1 else EXIT_OK
@@ -227,17 +221,16 @@ def _cmd_identity(args) -> _Output:
 def _cmd_certify(args) -> _Output:
     r = _positive("r", args.r)
     n = _positive("n", args.n)
-    outcome = classify(r, n, _positive("oracle-cutoff", args.oracle_cutoff))
-    found = isinstance(outcome, OracleIntegral)
-    return [classification_record(r, n, outcome)], to_human_line, lambda: EXIT_FOUND if found else EXIT_OK
+    counts, text = _classify_chunk((r, range(n, n + 1), args.format))
+    return [text], to_human_line, lambda: EXIT_FOUND if counts["oracle_integral"] else EXIT_OK
 
 
-def _classify_chunk(task: tuple[int, range, int, str]) -> tuple[Counter, str]:
+def _classify_chunk(task: tuple[int, range, str]) -> tuple[Counter, str]:
     """Classify a chunk of n and format its records where it ran: returns
     the count of each classification and the chunk's lines in the format,
     newline-terminated (csv without the header, which the writer adds)."""
-    r, ns, oracle_cutoff, fmt = task
-    outcomes = [(n, classify(r, n, oracle_cutoff)) for n in ns]
+    r, ns, fmt = task
+    outcomes = [(n, classify(r, n)) for n in ns]
     counts = Counter(outcome.kind for _, outcome in outcomes)
     if fmt == "jsonl":
         lines = [classification_line(r, n, outcome) for n, outcome in outcomes]
@@ -260,15 +253,15 @@ def _resuming(args) -> bool:
     return True
 
 
-def _load_resume(path: str, r: int, n_start: int, n_end: int, oracle_cutoff: int) -> tuple[int, int]:
+def _load_resume(path: str, r: int, n_start: int, n_end: int) -> tuple[int, int]:
     """Count the records (and the integral ones) already in a jsonl scan
     file, which must hold n = n_start, n_start + 1, ... in order and stop at
     or before n_end: appending then keeps the file sorted and gap-free.
-    Every record must be one this oracle_cutoff would write, so a file never
-    mixes budgets: `undecided` only above it, an oracle value only at or
-    below it.  A final line without its newline, the torn tail of a killed
-    run, is cut off once every complete line has passed these checks, so
-    main can append.  The file is read one line at a time."""
+    Every record must be one classify would write: `undecided` only above
+    ORACLE_CUTOFF, an oracle value only at or below it.  A final line
+    without its newline, the torn tail of a killed run, is cut off once
+    every complete line has passed these checks, so main can append.  The
+    file is read one line at a time."""
     done = 0
     integral = 0
     size = 0  # bytes in the complete lines read so far
@@ -291,9 +284,9 @@ def _load_resume(path: str, r: int, n_start: int, n_end: int, oracle_cutoff: int
                                  f"only a file holding n={n_start}, {n_start + 1}, ... in order can be resumed")
             if n > n_end:
                 raise ValueError(f"{path}:{lineno}: holds n={n}, past --n-end {n_end}")
-            if (kind == "undecided" and n <= oracle_cutoff) or (kind.startswith("oracle_") and n > oracle_cutoff):
-                raise ValueError(f"{path}:{lineno}: holds {kind} for n={n}, which --oracle-cutoff {oracle_cutoff} "
-                                 f"would not write; resume with the cutoff that made the file")
+            if (kind == "undecided" and n <= ORACLE_CUTOFF) or (kind.startswith("oracle_") and n > ORACLE_CUTOFF):
+                raise ValueError(f"{path}:{lineno}: holds {kind} for n={n}, which classify would not write: "
+                                 f"it evaluates uncertified instances exactly for n <= {ORACLE_CUTOFF} only")
             done += 1
             if kind == "oracle_integral":
                 integral += 1
@@ -308,13 +301,11 @@ def _cmd_scan(args) -> _Output:
         raise ValueError(f"empty scan range [{n_start}, {n_end}]")
     _check_instance(r, n_end)
     threads = _positive("threads", args.threads)
-    oracle_cutoff = _positive("oracle-cutoff", args.oracle_cutoff)
 
-    resuming = _resuming(args)
-    done, prior_integral = _load_resume(args.out, r, n_start, n_end, oracle_cutoff) if resuming else (0, 0)
+    done, prior_integral = _load_resume(args.out, r, n_start, n_end) if args.resuming else (0, 0)
 
     todo = range(n_start + done, n_end + 1)
-    tasks = ((r, todo[i : i + _SCAN_CHUNK], oracle_cutoff, args.format) for i in range(0, len(todo), _SCAN_CHUNK))
+    tasks = ((r, todo[i : i + _SCAN_CHUNK], args.format) for i in range(0, len(todo), _SCAN_CHUNK))
     counts: Counter = Counter()
     t0 = time.perf_counter()
 
@@ -327,7 +318,7 @@ def _cmd_scan(args) -> _Output:
 
     def status() -> int:
         elapsed = time.perf_counter() - t0
-        skipped = f", {done} already present" if resuming else ""
+        skipped = f", {done} already present" if args.resuming else ""
         summary = ", ".join(f"{k}={v}" for k, v in sorted(counts.items())) or "nothing to do"
         print(f"scan r={r}, n in [{n_start}, {n_end}]: {summary}{skipped} ({elapsed:.2f}s)", file=sys.stderr)
         integral = prior_integral + counts["oracle_integral"]
@@ -395,7 +386,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         # Handlers check their arguments before --out is opened: a rejected call leaves files alone.
-        _resuming(args)  # refuses a non-empty --out unless a jsonl scan resumes it
+        args.resuming = _resuming(args)  # refuses a non-empty --out unless a jsonl scan resumes it
         records, human, status = args.handler(args)
         if args.out is None:
             target = contextlib.nullcontext(sys.stdout)

@@ -17,7 +17,6 @@ from typing import Optional
 from .certify import (
     CERTIFICATE_KINDS,
     CLASSIFICATION_KINDS,
-    ORACLE_CUTOFF,
     CertifiedNonintegral,
     OracleIntegral,
     _check_instance,
@@ -215,7 +214,7 @@ def scan_density(r: int, n_lo: int, n_hi: int) -> ScanReport:
     cert_counts = {k: 0 for k in CERTIFICATE_KINDS}
     integral: list[int] = []
     for n in range(n_lo, n_hi + 1):
-        outcome = classify(r, n, ORACLE_CUTOFF)
+        outcome = classify(r, n)
         counts[outcome.kind] += 1
         if isinstance(outcome, CertifiedNonintegral):
             cert_counts[outcome.certificate.kind] += 1

@@ -67,7 +67,7 @@ def test_c2_proved_range_sweep():
     integral, undecided = [], []
     for r in range(1, 23):
         for n in range(1, 1501):
-            outcome = classify(r, n, oracle_cutoff=3000)
+            outcome = classify(r, n)
             if isinstance(outcome, OracleIntegral):
                 integral.append((r, n))
             elif isinstance(outcome, Undecided):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from binsum.certify import (
+    ORACLE_CUTOFF,
     CertifiedNonintegral,
     OracleNonintegral,
     OrderCertificate,
@@ -55,9 +56,9 @@ def test_s_upper_closed_examples():
 
 def test_cutoffs_are_enforced():
     with pytest.raises(ValueError):
-        s_lower(1, 50, cutoff=49)
+        s_lower(1, ORACLE_CUTOFF + 1)
     with pytest.raises(ValueError):
-        s_upper(1, 50, cutoff=49)
+        s_upper(1, ORACLE_CUTOFF + 1)
     with pytest.raises(ValueError):
         s_upper_closed(300, 5)
 
@@ -277,13 +278,13 @@ def test_classify_undecided_past_cutoff():
     # so nothing decides it without the oracle
     outcome = classify(1, 4095)
     assert isinstance(outcome, Undecided)
-    assert "3000" in outcome.reason
-    decided = classify(1, 4095, oracle_cutoff=4095)
+    # n + 1 = 2**11 likewise has no certificate, and n <= ORACLE_CUTOFF
+    decided = classify(1, 2047)
     assert isinstance(decided, OracleNonintegral)
 
 
 def test_classify_deterministic():
-    assert classify(7, 60, oracle_cutoff=100) == classify(7, 60, oracle_cutoff=100)
+    assert classify(7, 60) == classify(7, 60)
 
 
 def test_scan_at_2_62_tests_each_integer_once():

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from binsum.certify import OracleIntegral
+from binsum.certify import OracleIntegral, classify
 from binsum.cli import main
 from binsum.records import certificate_from_record, parse_scan_line
 
@@ -64,7 +64,7 @@ def test_scan_sorted_and_thread_and_format_invariant(fmt, dest, tmp_path, capsys
 
     from binsum.certify import classify
     from binsum.cli import _Writer
-    from binsum.records import classification_record, to_human_line
+    from binsum.records import CSV_COLUMNS, classification_record, to_csv_row, to_human_line
 
     r, n_end = 6, 1300
 
@@ -82,9 +82,15 @@ def test_scan_sorted_and_thread_and_format_invariant(fmt, dest, tmp_path, capsys
     one = scan(1)
     assert scan(2) == one
     expected = io.StringIO()
-    writer = _Writer(expected, fmt, to_human_line)  # the per-record path that certify takes
-    for n in range(1, n_end + 1):
-        writer.write(classification_record(r, n, classify(r, n)))
+    records = [classification_record(r, n, classify(r, n)) for n in range(1, n_end + 1)]
+    if fmt == "csv":  # the csv module is the reference for csv lines
+        reference = csv.writer(expected, lineterminator="\n")
+        reference.writerow(CSV_COLUMNS)
+        reference.writerows(to_csv_row(rec) for rec in records)
+    else:  # the per-record path that the other commands' records take
+        writer = _Writer(expected, fmt, to_human_line)
+        for rec in records:
+            writer.write(rec)
     assert one == expected.getvalue().splitlines(keepends=True)
     if fmt == "jsonl":
         ns = [json.loads(line)["n"] for line in one]
@@ -119,7 +125,7 @@ def test_scan_resume_reports_prior_integral(tmp_path):
 def test_scan_exit_1_on_integral(monkeypatch, tmp_path, capsys):
     import binsum.cli as cli_mod
 
-    def fake_classify(r, n, oracle_cutoff):
+    def fake_classify(r, n):
         return OracleIntegral(value=Fraction(4, 1))
 
     monkeypatch.setattr(cli_mod, "classify", fake_classify)
@@ -128,6 +134,8 @@ def test_scan_exit_1_on_integral(monkeypatch, tmp_path, capsys):
                     "--threads", "1", "--out", str(out)])
     assert code == 1
     assert "INTEGRAL" in capsys.readouterr().err
+    assert run_cli(["certify", "--r", "1", "--n", "3", "--format", "human"]) == 1
+    assert "INTEGRAL" in capsys.readouterr().out
 
 
 def test_scan_csv_format(tmp_path):
@@ -373,6 +381,7 @@ def test_scan_planning_memory_is_bounded():
     from binsum.cli import _cmd_scan, build_parser
 
     args = build_parser().parse_args(["scan", "--r", "23", "--n-start", "1", "--n-end", "2000000", "--threads", "2"])
+    args.resuming = False  # as main decides for an --out that is absent
     tracemalloc.start()
     try:
         _cmd_scan(args)
@@ -439,34 +448,67 @@ def test_lemma2_has_only_the_gcd_threshold_flag(name, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("first, second, complaint", [
-    ((3023, None), (3024, "5000"), "holds undecided for n=3023"),
-    ((3023, "5000"), (3024, None), "holds oracle_nonintegral for n=3023"),
+@pytest.mark.parametrize("record, complaint", [
+    ('{"classification":"undecided","n":"2999","r":"1"}', "holds undecided for n=2999"),
+    ('{"classification":"oracle_nonintegral","n":"3023","r":"1","value_denominator":"2","value_numerator":"1"}',
+     "holds oracle_nonintegral for n=3023"),
 ], ids=["undecided-then-larger-budget", "oracle-then-default-budget"])
-def test_scan_resume_refuses_records_of_another_budget(first, second, complaint, tmp_path, capsys):
-    # n = 3023 at r = 1 has no certificate, so the oracle budget decides its record
+def test_scan_resume_refuses_records_of_another_budget(record, complaint, tmp_path, capsys):
+    # r = 1 instances without a certificate get an oracle value at n <= 3000
+    # and are undecided above; a record another budget would write is refused
     path = tmp_path / "scan.jsonl"
-
-    def scan(hi, cutoff):
-        budget = [] if cutoff is None else ["--oracle-cutoff", cutoff]
-        return run_cli(["scan", "--r", "1", "--n-start", "3023", "--n-end", str(hi),
-                        "--threads", "1", "--out", str(path)] + budget)
-
-    assert scan(*first) == 0
+    path.write_text(record + "\n")
+    n = json.loads(record)["n"]
     before = path.read_bytes()
-    capsys.readouterr()
-    assert scan(*second) == 2
+    assert run_cli(["scan", "--r", "1", "--n-start", n, "--n-end", str(int(n) + 1),
+                    "--threads", "1", "--out", str(path)]) == 2
     assert complaint in capsys.readouterr().err
     assert path.read_bytes() == before
 
 
-def test_scan_resume_accepts_another_budget_that_agrees(tmp_path):
-    path = tmp_path / "scan.jsonl"
-    base = ["scan", "--r", "1", "--n-start", "3023", "--threads", "1", "--out", str(path)]
-    assert run_cli(base + ["--n-end", "3023", "--oracle-cutoff", "5000"]) == 0
-    assert run_cli(base + ["--n-end", "3024", "--oracle-cutoff", "4000"]) == 0
-    kinds = [json.loads(line)["classification"] for line in path.read_text().splitlines()]
-    assert kinds == ["oracle_nonintegral", "certified_nonintegral"]
+def test_scan_resume_across_the_oracle_cutoff_matches_one_scan(tmp_path):
+    # the stored part ends in oracle values; the resumed part reaches the
+    # undecided n = 3023
+    one, resumed = tmp_path / "one.jsonl", tmp_path / "resumed.jsonl"
+    base = ["scan", "--r", "1", "--n-start", "2990", "--threads", "1", "--out"]
+    assert run_cli(base + [str(one), "--n-end", "3030"]) == 0
+    assert run_cli(base + [str(resumed), "--n-end", "2999"]) == 0
+    assert run_cli(base + [str(resumed), "--n-end", "3030"]) == 0
+    assert resumed.read_bytes() == one.read_bytes()
+    kinds = {json.loads(line)["classification"] for line in one.read_text().splitlines()}
+    assert {"oracle_nonintegral", "certified_nonintegral", "undecided"} <= kinds
+
+
+@pytest.mark.parametrize("command", [
+    ["oracle", "--r", "1", "--n", "5"],
+    ["certify", "--r", "1", "--n", "5"],
+    ["scan", "--r", "1", "--n-start", "1", "--n-end", "5"],
+], ids=lambda argv: argv[0])
+def test_the_oracle_budget_is_not_a_flag(command, capsys):
+    # the oracle evaluates up to ORACLE_CUTOFF, a constant
+    assert run_cli(command + ["--oracle-cutoff", "100"]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv", "human"])
+@pytest.mark.parametrize("r, n, kind", [
+    (3, 4, "sylvester"), (7, 10**12 + 109815, "order"), (1, 3, "oracle_nonintegral"), (1, 3023, "undecided"),
+])
+def test_certify_prints_what_a_one_n_scan_prints(r, n, kind, fmt, capsys):
+    outcome = classify(r, n)
+    assert (outcome.certificate.kind if outcome.kind == "certified_nonintegral" else outcome.kind) == kind
+    code = run_cli(["certify", "--r", str(r), "--n", str(n), "--format", fmt])
+    certified = capsys.readouterr().out
+    assert run_cli(["scan", "--r", str(r), "--n-start", str(n), "--n-end", str(n), "--threads", "1",
+                    "--format", fmt]) == code
+    assert capsys.readouterr().out == certified
+
+
+@pytest.mark.parametrize("text", ["1/", "/2", "0/1", "1/0", "a/2", "1/2/3"])
+def test_lemma2_rejects_a_malformed_gcd_exponent(text, capsys):
+    assert run_cli(["lemma2", "--r", "100", "--gcd-exp", text]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("binsum: error: exponent must be a positive fraction") and repr(text) in err
 
 
 def test_scan_resume_rejects_unknown_classification(tmp_path, capsys):
