@@ -8,8 +8,8 @@ For positive integers r, n define
 They satisfy s_lower + s_upper = 2**n exactly, and s_upper has the
 alternating closed form
 
-    s_upper(r, n) = sum_{j=1..r} (-1)**(r-j) * r * C(r-1, j-1)
-                                * (2**(n+j) - 1) / (n + j).
+    s_upper(r, n) = sum_{j=1..r} c_j * (2**m_j - 1) / m_j,
+    c_j = (-1)**(r-j) * r * C(r-1, j-1),  m_j = n + j.
 
 It is conjectured that s_lower(r, n) is never an integer.  A certificate
 is a small, independently re-checkable piece of data that forces a prime
@@ -19,18 +19,23 @@ since the two differ by the integer 2**n):
 * SylvesterPrime: a prime p > n dividing k0 + r for some 1 <= k0 <= n.
   Because p > n, no other k + r in the sum is a multiple of p, so exactly
   one term of s_lower carries p in its denominator.
-* OrderCertificate: an odd prime p > r dividing n + j for some
-  1 <= j <= r, whose order of 2 does not divide n + j.  Exactly one term
-  of the closed form has n + j as denominator (p > r makes j unique), p
-  divides neither r nor C(r-1, j-1) (all prime factors of that binomial
-  are < r < p), and p does not divide 2**(n+j) - 1 because the order of 2
-  mod p does not divide the exponent; so that single term has negative
-  p-valuation and s_upper cannot be an integer.  The order condition is
-  checked as pow(2, n + j, p) != 1, which is equivalent (see
-  OrderCertificate).
+* OrderCertificate: a prime p > r dividing some m_j with 2**m_j != 1
+  (mod p).  p divides no other m_i, and not c_j (whose prime factors are
+  <= r), so v_p(s_upper) = v_p(2**m_j - 1) - v_p(m_j) = -v_p(m_j) < 0.
+* DenominatorPrime: any prime p passing a modular check.  Write
+  m_j = p**v_j * u_j with p not dividing u_j, and a = max_j v_j.  Then
+  p**a * s_upper = sum_j c_j * (2**m_j - 1) * p**(a - v_j) / u_j is
+  p-integral and its terms with v_j = 0 vanish mod p**a, so p divides the
+  reduced denominator iff the other terms sum to a nonzero residue mod p**a.
 
-classify() tries the two certificates in that order and falls back to
-direct exact evaluation when the instance is small enough.
+classify() tries the three in that order, the last over the primes p <= r,
+and they find a prime of every reduced denominator, so Integral is a proof,
+not a budget verdict.  Proof for a prime p > r dividing some m_j: as above,
+v_p(s_upper) = v_p(2**m_j - 1) - v_p(m_j).  For p = 2 (r = 1) 2**m_j - 1 is
+odd.  For odd p with ord = order2(p) dividing m_j, lifting the exponent
+gives v_p(2**m_j - 1) = v_p(2**ord - 1) + v_p(m_j / ord) >= 1 + v_p(m_j), as
+ord | p - 1 is prime to p.  So p is in the denominator iff it qualifies for
+an order certificate, and order_certificate examines every such p.
 """
 
 from __future__ import annotations
@@ -39,10 +44,11 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from math import lcm
+from math import comb, lcm
 from typing import Optional, Union
 
-from .ntheory import U64_LIMIT, _TRIAL_LIMIT, _TRIAL_PRIMES, _factorize, is_prime
+from .exact import _int_valuation
+from .ntheory import U64_LIMIT, _TRIAL_LIMIT, _TRIAL_PRIMES, _factorize, is_prime, primes_upto
 
 # Cost guard for direct summation; C(n, k) and the lcm of the denominators
 # grow superexponentially in n.
@@ -124,8 +130,11 @@ class SylvesterPrime:
 
 @dataclass(frozen=True)
 class OrderCertificate:
-    """Odd prime p > r with p | n + j and order2(p) not dividing n + j: the
-    j-th closed-form term alone has negative p-valuation.
+    """Prime p > r with p | n + j and order2(p) not dividing n + j: the
+    j-th closed-form term alone has negative p-valuation.  p = 2 occurs
+    only for r = 1, where s_upper = (2**m - 1)/m with m = n + 1: 2**m - 1 is
+    odd, so 2 is in the denominator iff m is even, and pow(2, m, 2) = 0
+    makes the same test below accept it.
 
     verify tests the order condition as pow(2, n + j, p) != 1, with no
     factorization of p - 1.  Proof that ord | m <=> 2**m == 1 (mod p), with
@@ -140,14 +149,26 @@ class OrderCertificate:
     kind = "order"
 
     def verify(self, r: int, n: int) -> bool:
-        if not (1 <= self.j <= r and self.p > r and self.p % 2 == 1):
+        if not (1 <= self.j <= r and self.p > r):
             return False
         if (n + self.j) % self.p != 0 or not is_prime(self.p):
             return False
         return pow(2, n + self.j, self.p) != 1
 
 
-Certificate = Union[SylvesterPrime, OrderCertificate]
+@dataclass(frozen=True)
+class DenominatorPrime:
+    """Prime p dividing the reduced denominator of s_upper(r, n), shown by
+    the modular check of the module docstring (_denominator_residue)."""
+
+    p: int
+    kind = "denominator"
+
+    def verify(self, r: int, n: int) -> bool:
+        return 2 <= self.p <= n + r and is_prime(self.p) and _denominator_residue(r, n, self.p) != 0
+
+
+Certificate = Union[SylvesterPrime, OrderCertificate, DenominatorPrime]
 
 
 @dataclass(frozen=True)
@@ -157,32 +178,17 @@ class CertifiedNonintegral:
 
 
 @dataclass(frozen=True)
-class OracleNonintegral:
-    value: Fraction
-    kind = "oracle_nonintegral"
+class Integral:
+    """No certificate exists, which proves s_lower(r, n) an integer."""
+
+    kind = "integral"
 
 
-@dataclass(frozen=True)
-class OracleIntegral:
-    value: Fraction
-    kind = "oracle_integral"
+Classification = Union[CertifiedNonintegral, Integral]
 
+CLASSIFICATION_KINDS = ("certified_nonintegral", "integral")
 
-@dataclass(frozen=True)
-class Undecided:
-    kind = "undecided"
-
-
-Classification = Union[CertifiedNonintegral, OracleNonintegral, OracleIntegral, Undecided]
-
-CLASSIFICATION_KINDS = (
-    "certified_nonintegral",
-    "oracle_nonintegral",
-    "oracle_integral",
-    "undecided",
-)
-
-CERTIFICATE_KINDS = ("sylvester", "order")
+CERTIFICATE_KINDS = ("sylvester", "order", "denominator")
 
 
 def sylvester_certificate(r: int, n: int) -> Optional[SylvesterPrime]:
@@ -219,53 +225,69 @@ def sylvester_certificate(r: int, n: int) -> Optional[SylvesterPrime]:
 
 
 def order_certificate(r: int, n: int) -> Optional[OrderCertificate]:
-    """Smallest odd prime p > r dividing some n + j (1 <= j <= r) with
+    """Smallest prime p > r dividing some n + j (1 <= j <= r) with
     order2(p) not dividing n + j, with its (unique) j, or None.
 
     The order condition is tested as pow(2, n + j, p) != 1 (see
-    OrderCertificate for the equivalence).
+    OrderCertificate for the equivalence and for p = 2).
 
-    Fast path: walk the odd primes q in (r, _TRIAL_LIMIT) ascending.  As
-    q > r, at most one n + j (1 <= j <= r) is a multiple of q: the one with
+    Fast path: walk the primes q in (r, _TRIAL_LIMIT) ascending.  As q > r,
+    at most one n + j (1 <= j <= r) is a multiple of q: the one with
     j = (-n mod q) or q, provided j <= r.  The first q that qualifies is the
-    smallest qualifying prime overall: the smaller odd primes above r were
-    examined and failed, 2 and the primes <= r never qualify, and every
-    prime not examined is >= _TRIAL_LIMIT > q.  Only when none qualifies
-    does the search factor every n + j.  That search is complete on its own
-    and is the reference the tests compare the fast path against.
+    smallest qualifying prime overall: the smaller primes above r were
+    examined and failed, the primes <= r never qualify, and every prime not
+    examined is >= _TRIAL_LIMIT > q.  Only when none qualifies does the
+    search factor every n + j.  That search is complete on its own and is
+    the reference the tests compare the fast path against.
     """
     _check_instance(r, n)
-    for q in _TRIAL_PRIMES[bisect_right(_TRIAL_PRIMES, max(r, 2)) :]:
+    for q in _TRIAL_PRIMES[bisect_right(_TRIAL_PRIMES, r) :]:
         j = -n % q or q
         if j <= r and pow(2, n + j, q) != 1:
             return OrderCertificate(p=q, j=j)
-    best: Optional[tuple[int, int]] = None
-    for j in range(1, r + 1):
-        v = n + j
-        for q, _ in _factorize(v):
-            if q == 2 or q <= r:
-                continue
-            if best is not None and q >= best[0]:
-                continue
-            if pow(2, v, q) != 1:
-                best = (q, j)
+    qualifying = ((q, j) for j in range(1, r + 1) for q, _ in _factorize(n + j) if q > r and pow(2, n + j, q) != 1)
+    best = min(qualifying, default=None)
     return OrderCertificate(p=best[0], j=best[1]) if best else None
 
 
-def classify(r: int, n: int) -> Classification:
-    """Decide whether s_lower(r, n) is an integer.
+def _denominator_residue(r: int, n: int, p: int) -> int:
+    """p**a * s_upper(r, n) mod p**a for the prime p, where p**a is the
+    largest power of p dividing some n + j (1 <= j <= r); nonzero iff p
+    divides the reduced denominator (module docstring).  Only the j with
+    p | n + j contribute, so it costs O(r/p) modular powers."""
+    terms = [(j, _int_valuation(p, n + j)) for j in range(-n % p or p, r + 1, p)]
+    a = max((v for _, v in terms), default=0)
+    q = p**a
+    total = 0
+    for j, v in terms:
+        c = (-1) ** (r - j) * r * comb(r - 1, j - 1)
+        total += c * (pow(2, n + j, q) - 1) * p ** (a - v) * pow((n + j) // p**v, -1, q)
+    return total % q
 
-    Certificates are tried in a fixed order (sylvester, then order); the
-    first hit wins.  Otherwise the sum is evaluated exactly when
-    n <= ORACLE_CUTOFF; beyond that the instance is Undecided.
+
+def denominator_certificate(r: int, n: int) -> Optional[DenominatorPrime]:
+    """Smallest prime p <= r dividing the reduced denominator of
+    s_upper(r, n), or None.
+
+    classify reaches this stage only when sylvester_certificate found
+    nothing, so r < n and (n, n + r] holds no prime: r is below the prime
+    gap after n, at most 1550 below 2**64.
     """
     _check_instance(r, n)
-    cert: Optional[Certificate] = sylvester_certificate(r, n) or order_certificate(r, n)
-    if cert is not None:
-        return CertifiedNonintegral(certificate=cert)
-    if n <= ORACLE_CUTOFF:
-        value = s_lower(r, n)
-        if value.denominator == 1:
-            return OracleIntegral(value=value)
-        return OracleNonintegral(value=value)
-    return Undecided()
+    for p in primes_upto(r):
+        if _denominator_residue(r, n, p):
+            return DenominatorPrime(p=p)
+    return None
+
+
+def classify(r: int, n: int) -> Classification:
+    """Decide whether s_lower(r, n) is an integer, without evaluating it.
+
+    Certificates are tried in a fixed order (sylvester, order, then
+    denominator) and the first hit wins.  Together they find a prime of
+    every reduced denominator (module docstring), so when none exists the
+    sum is an integer and the outcome is Integral.
+    """
+    _check_instance(r, n)
+    cert = sylvester_certificate(r, n) or order_certificate(r, n) or denominator_certificate(r, n)
+    return Integral() if cert is None else CertifiedNonintegral(certificate=cert)

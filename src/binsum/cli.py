@@ -13,9 +13,9 @@ records arrive as text: its workers classify and format each chunk.  It never
 overwrites a non-empty ``--out`` file: only a jsonl scan resumes one.
 
 Exit status: 0 = completed and no integral value seen, 1 = some instance
-evaluated to an integer (a counterexample to the nonintegrality
-conjecture) or an identity violation (identity), 2 = usage,
-configuration or I/O error.
+is an integer (a counterexample to the nonintegrality conjecture: it has
+no certificate, or `oracle` evaluated it to one) or an identity violation
+(identity), 2 = usage, configuration or I/O error.
 """
 
 from __future__ import annotations
@@ -222,7 +222,7 @@ def _cmd_certify(args) -> _Output:
     r = _positive("r", args.r)
     n = _positive("n", args.n)
     counts, text = _classify_chunk((r, range(n, n + 1), args.format))
-    return [text], to_human_line, lambda: EXIT_FOUND if counts["oracle_integral"] else EXIT_OK
+    return [text], to_human_line, lambda: EXIT_FOUND if counts["integral"] else EXIT_OK
 
 
 def _classify_chunk(task: tuple[int, range, str]) -> tuple[Counter, str]:
@@ -256,12 +256,10 @@ def _resuming(args) -> bool:
 def _load_resume(path: str, r: int, n_start: int, n_end: int) -> tuple[int, int]:
     """Count the records (and the integral ones) already in a jsonl scan
     file, which must hold n = n_start, n_start + 1, ... in order and stop at
-    or before n_end: appending then keeps the file sorted and gap-free.
-    Every record must be one classify would write: `undecided` only above
-    ORACLE_CUTOFF, an oracle value only at or below it.  A final line
-    without its newline, the torn tail of a killed run, is cut off once
-    every complete line has passed these checks, so main can append.  The
-    file is read one line at a time."""
+    or before n_end: appending then keeps the file sorted and gap-free.  A
+    final line without its newline, the torn tail of a killed run, is cut
+    off once every complete line has passed these checks, so main can
+    append.  The file is read one line at a time."""
     done = 0
     integral = 0
     size = 0  # bytes in the complete lines read so far
@@ -284,11 +282,8 @@ def _load_resume(path: str, r: int, n_start: int, n_end: int) -> tuple[int, int]
                                  f"only a file holding n={n_start}, {n_start + 1}, ... in order can be resumed")
             if n > n_end:
                 raise ValueError(f"{path}:{lineno}: holds n={n}, past --n-end {n_end}")
-            if (kind == "undecided" and n <= ORACLE_CUTOFF) or (kind.startswith("oracle_") and n > ORACLE_CUTOFF):
-                raise ValueError(f"{path}:{lineno}: holds {kind} for n={n}, which classify would not write: "
-                                 f"it evaluates uncertified instances exactly for n <= {ORACLE_CUTOFF} only")
             done += 1
-            if kind == "oracle_integral":
+            if kind == "integral":
                 integral += 1
     return done, integral
 
@@ -321,7 +316,7 @@ def _cmd_scan(args) -> _Output:
         skipped = f", {done} already present" if args.resuming else ""
         summary = ", ".join(f"{k}={v}" for k, v in sorted(counts.items())) or "nothing to do"
         print(f"scan r={r}, n in [{n_start}, {n_end}]: {summary}{skipped} ({elapsed:.2f}s)", file=sys.stderr)
-        integral = prior_integral + counts["oracle_integral"]
+        integral = prior_integral + counts["integral"]
         if integral:
             print(f"INTEGRAL VALUE FOUND: {integral} instance(s)", file=sys.stderr)
             return EXIT_FOUND

@@ -18,7 +18,6 @@ from .certify import (
     CERTIFICATE_KINDS,
     CLASSIFICATION_KINDS,
     CertifiedNonintegral,
-    OracleIntegral,
     _check_instance,
     classify,
 )
@@ -218,7 +217,7 @@ def scan_density(r: int, n_lo: int, n_hi: int) -> ScanReport:
         counts[outcome.kind] += 1
         if isinstance(outcome, CertifiedNonintegral):
             cert_counts[outcome.certificate.kind] += 1
-        elif isinstance(outcome, OracleIntegral):
+        else:
             integral.append(n)
     return ScanReport(
         r=r,

@@ -14,8 +14,7 @@ from .certify import (
     Certificate,
     CertifiedNonintegral,
     Classification,
-    OracleIntegral,
-    OracleNonintegral,
+    DenominatorPrime,
     OrderCertificate,
     SylvesterPrime,
 )
@@ -28,9 +27,6 @@ CSV_COLUMNS = (
     "p",
     "k0",
     "j",
-    "m_value",  # always empty; kept so csv output keeps its bytes
-    "value_numerator",
-    "value_denominator",
 )
 
 
@@ -39,6 +35,8 @@ def certificate_record(cert: Certificate) -> dict[str, str]:
         return {"type": "sylvester", "p": str(cert.p), "k0": str(cert.k0)}
     if isinstance(cert, OrderCertificate):
         return {"type": "order", "p": str(cert.p), "j": str(cert.j)}
+    if isinstance(cert, DenominatorPrime):
+        return {"type": "denominator", "p": str(cert.p)}
     raise TypeError(f"not a certificate: {cert!r}")
 
 
@@ -49,6 +47,8 @@ def certificate_from_record(rec: dict[str, str]) -> Certificate:
         return SylvesterPrime(p=int(rec["p"]), k0=int(rec["k0"]))
     if kind == "order":
         return OrderCertificate(p=int(rec["p"]), j=int(rec["j"]))
+    if kind == "denominator":
+        return DenominatorPrime(p=int(rec["p"]))
     raise ValueError(f"unknown certificate type: {kind!r}")
 
 
@@ -56,9 +56,6 @@ def classification_record(r: int, n: int, outcome: Classification) -> dict:
     rec: dict = {"r": str(r), "n": str(n), "classification": outcome.kind}
     if isinstance(outcome, CertifiedNonintegral):
         rec["certificate"] = certificate_record(outcome.certificate)
-    elif isinstance(outcome, (OracleNonintegral, OracleIntegral)):
-        rec["value_numerator"] = str(outcome.value.numerator)
-        rec["value_denominator"] = str(outcome.value.denominator)
     return rec
 
 
@@ -77,8 +74,9 @@ _ORDER_LINE = '{"certificate":{"j":"%d","p":"%d","type":"order"},"classification
 
 def classification_line(r: int, n: int, outcome: Classification) -> str:
     """The jsonl line of one classification, without its newline: byte for
-    byte to_json_line(classification_record(r, n, outcome)).  A certified
-    outcome fills a fixed template; the rare others take the general path."""
+    byte to_json_line(classification_record(r, n, outcome)).  A sylvester
+    or order outcome fills a fixed template; the rare others take the
+    general path."""
     if type(outcome) is CertifiedNonintegral:
         cert = outcome.certificate
         if type(cert) is SylvesterPrime:
@@ -90,38 +88,21 @@ def classification_line(r: int, n: int, outcome: Classification) -> str:
 
 def to_csv_row(rec: dict) -> list[str]:
     cert = rec.get("certificate", {})
-    row = {
-        "r": rec.get("r", ""),
-        "n": rec.get("n", ""),
-        "classification": rec.get("classification", ""),
-        "certificate_type": cert.get("type", ""),
-        "p": cert.get("p", ""),
-        "k0": cert.get("k0", ""),
-        "j": cert.get("j", ""),
-        "m_value": "",
-        "value_numerator": rec.get("value_numerator", ""),
-        "value_denominator": rec.get("value_denominator", ""),
-    }
-    return [row[c] for c in CSV_COLUMNS]
+    return [rec["r"], rec["n"], rec["classification"]] + [cert.get(key, "") for key in ("type", "p", "k0", "j")]
+
+
+_DETAILS = {
+    "sylvester": "sylvester prime p={p} at k0={k0}",
+    "order": "order certificate p={p} at j={j}",
+    "denominator": "denominator prime p={p}",
+}
 
 
 def to_human_line(rec: dict) -> str:
-    r, n = rec.get("r"), rec.get("n")
-    kind = rec.get("classification")
-    if kind == "certified_nonintegral":
+    if rec["classification"] == "certified_nonintegral":
         cert = rec["certificate"]
-        if cert["type"] == "sylvester":
-            detail = f"sylvester prime p={cert['p']} at k0={cert['k0']}"
-        else:
-            detail = f"order certificate p={cert['p']} at j={cert['j']}"
-        return f"(r={r}, n={n}) nonintegral [{detail}]"
-    if kind in ("oracle_nonintegral", "oracle_integral"):
-        tag = "INTEGRAL" if kind == "oracle_integral" else "nonintegral"
-        return (
-            f"(r={r}, n={n}) {tag} [oracle value "
-            f"{rec['value_numerator']}/{rec['value_denominator']}]"
-        )
-    return f"(r={r}, n={n}) undecided"
+        return f"(r={rec['r']}, n={rec['n']}) nonintegral [{_DETAILS[cert['type']].format(**cert)}]"
+    return f"(r={rec['r']}, n={rec['n']}) INTEGRAL"
 
 
 def parse_scan_line(line: str, expected_r: int) -> tuple[int, str]:
@@ -137,7 +118,10 @@ def parse_scan_line(line: str, expected_r: int) -> tuple[int, str]:
         if key not in rec:
             raise ValueError(f"record lacks key {key!r}")
     if rec["r"] != str(expected_r):
-        raise ValueError(f"record r={rec['r']} does not match scan r={expected_r}")
+        raise ValueError(f"record r={rec['r']!r} does not match scan r={str(expected_r)!r}")
+    n = rec["n"]
+    if not (isinstance(n, str) and n.isdecimal() and str(int(n)) == n):
+        raise ValueError(f"record n={n!r} is not a decimal string")
     if rec["classification"] not in CLASSIFICATION_KINDS:
         raise ValueError(f"unknown classification {rec['classification']!r}")
-    return int(rec["n"]), rec["classification"]
+    return int(n), rec["classification"]

@@ -20,8 +20,6 @@ from math import gcd
 
 from binsum.certify import (
     CertifiedNonintegral,
-    OracleIntegral,
-    Undecided,
     classify,
     s_lower,
     s_upper,
@@ -63,20 +61,19 @@ def test_c1_identity_suite():
     )
 
 
-def test_c2_proved_range_sweep():
-    integral, undecided = [], []
+def test_c2_proved_range_sweep(monkeypatch):
+    import binsum.certify
+
+    def refuse(r, n):
+        raise AssertionError(f"classify evaluated s_lower({r}, {n})")
+
+    monkeypatch.setattr(binsum.certify, "s_lower", refuse)  # every decision is a certificate
+    integral = []
     for r in range(1, 23):
         for n in range(1, 1501):
-            outcome = classify(r, n)
-            if isinstance(outcome, OracleIntegral):
+            if not isinstance(classify(r, n), CertifiedNonintegral):
                 integral.append((r, n))
-            elif isinstance(outcome, Undecided):
-                undecided.append((r, n))
-    assert report(
-        2,
-        not integral and not undecided,
-        f"r<=22, n<=1500 sweep: {len(integral)} integral, {len(undecided)} undecided",
-    )
+    assert report(2, not integral, f"r<=22, n<=1500 sweep: {len(integral)} integral, none evaluated")
 
 
 def test_c3_certificate_soundness():
@@ -200,7 +197,7 @@ def test_c8_scan_determinism(tmp_path):
     integral = sum(
         1
         for line in one.read_text().splitlines()
-        if json.loads(line)["classification"] == "oracle_integral"
+        if json.loads(line)["classification"] != "certified_nonintegral"
     )
     assert report(
         8,

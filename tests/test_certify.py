@@ -9,11 +9,11 @@ from hypothesis import given, settings, strategies as st
 from binsum.certify import (
     ORACLE_CUTOFF,
     CertifiedNonintegral,
-    OracleNonintegral,
+    DenominatorPrime,
     OrderCertificate,
     SylvesterPrime,
-    Undecided,
     classify,
+    denominator_certificate,
     order_certificate,
     s_lower,
     s_upper,
@@ -21,7 +21,8 @@ from binsum.certify import (
     sylvester_certificate,
 )
 from binsum import certify, ntheory
-from binsum.ntheory import _TRIAL_LIMIT, factorize, is_prime, order2
+from binsum.exact import valuation
+from binsum.ntheory import _TRIAL_LIMIT, factorize, is_prime, order2, primes_upto
 
 
 def test_s_lower_examples():
@@ -191,17 +192,22 @@ def test_order_certificate_examples():
     assert (cert.p, cert.j) == (5, 1) and cert.verify(3, 4)  # order2(5) = 4 does not divide 5
     cert = order_certificate(1, 2)
     assert (cert.p, cert.j) == (3, 1) and cert.verify(1, 2)
-    assert order_certificate(1, 5) is None  # 6 = 2 * 3 and order2(3) | 6
+    # r = 1 admits p = 2: 2**6 - 1 is odd, so 2 | 6 puts 2 in the denominator
+    cert = order_certificate(1, 5)
+    assert (cert.p, cert.j) == (2, 1) and cert.verify(1, 5)
+    assert OrderCertificate(p=2, j=1).verify(1, 7)
+    assert order_certificate(7, 2) is None  # 3..9 hold no prime > 7
 
 
 def brute_order_certificate(r, n):
     """(p, j) of the smallest qualifying prime, found by factoring every n + j
-    and computing order2; None when no prime qualifies."""
+    and computing order2; None when no prime qualifies.  p = 2 never divides
+    2**(n+j) - 1, so it qualifies whenever it divides n + j and exceeds r."""
     candidates = [
         (p, j)
         for j in range(1, r + 1)
         for p, _ in factorize(n + j)
-        if p != 2 and p > r and (n + j) % order2(p) != 0
+        if p > r and (p == 2 or (n + j) % order2(p) != 0)
     ]
     return min(candidates, default=None)
 
@@ -252,7 +258,8 @@ def test_order_search_needs_no_factorization_of_p_minus_1(monkeypatch):
 
 
 def test_order_verify_rejects_forgeries():
-    assert not OrderCertificate(p=2, j=1).verify(1, 7)   # even prime excluded
+    assert not OrderCertificate(p=2, j=1).verify(1, 6)   # 2 does not divide 7
+    assert not OrderCertificate(p=2, j=2).verify(2, 6)   # p <= r
     assert not OrderCertificate(p=3, j=1).verify(1, 5)   # order2(3) divides 6
     assert not OrderCertificate(p=5, j=2).verify(3, 4)   # 5 does not divide 6
     assert not OrderCertificate(p=5, j=1).verify(7, 4)   # p <= r
@@ -265,22 +272,25 @@ def test_classify_prefers_sylvester():
 
 
 def test_classify_oracle_fallback():
-    outcome = classify(1, 5)
-    assert isinstance(outcome, OracleNonintegral)
-    assert outcome.value == Fraction(43, 2)
-    outcome = classify(1, 7)
-    assert isinstance(outcome, OracleNonintegral)
-    assert outcome.value == Fraction(769, 8)
+    # the r = 1 instances the exact evaluation used to decide: n + 1 is even
+    for n in (5, 7):
+        outcome = classify(1, n)
+        assert outcome.certificate == OrderCertificate(p=2, j=1) and outcome.certificate.verify(1, n)
 
 
 def test_classify_undecided_past_cutoff():
-    # n + 1 = 2**12: no prime > n divides it and its only odd part is 1,
-    # so nothing decides it without the oracle
-    outcome = classify(1, 4095)
-    assert isinstance(outcome, Undecided)
-    # n + 1 = 2**11 likewise has no certificate, and n <= ORACLE_CUTOFF
-    decided = classify(1, 2047)
-    assert isinstance(decided, OracleNonintegral)
+    # n + 1 = 2**11 and 2**12: no prime > n divides it, and its only prime is
+    # 2, which decides both, below and above the old evaluation cutoff 3000
+    for n in (2047, 4095):
+        outcome = classify(1, n)
+        assert outcome.certificate == OrderCertificate(p=2, j=1) and outcome.certificate.verify(1, n)
+
+
+def test_r_1_is_certified_for_every_n_below_10_to_the_5():
+    # n + 1 prime: sylvester; n + 1 even: p = 2; otherwise the smallest prime
+    # p of n + 1 has gcd(n + 1, p - 1) = 1, so order2(p) does not divide n + 1
+    kinds = {classify(1, n).certificate.kind for n in range(1, 10**5)}
+    assert kinds == {"sylvester", "order"}
 
 
 def test_classify_deterministic():
@@ -327,7 +337,58 @@ def test_certificates_are_sound(r, n):
     for cert in (
         sylvester_certificate(r, n),
         order_certificate(r, n),
+        denominator_certificate(r, n),
     ):
         if cert is not None:
             assert cert.verify(r, n)
-            assert value.denominator > 1
+            assert valuation(cert.p, value) < 0
+
+
+def test_denominator_check_matches_exact_denominators():
+    # every prime p <= n + r, those <= r, p = 2 and p**a with a >= 2 included
+    checks = 0
+    for r in range(1, 31):
+        for n in range(1, 301):
+            denominator = s_upper(r, n).denominator
+            for p in primes_upto(n + r):
+                assert DenominatorPrime(p=p).verify(r, n) == (denominator % p == 0), (r, n, p)
+                checks += 1
+    assert checks == 339131
+
+
+def test_denominator_certificate_examples():
+    # 2 <= r is in the denominator
+    assert denominator_certificate(2, 2) == DenominatorPrime(p=2) and s_upper(2, 2) == Fraction(17, 6)
+    assert denominator_certificate(2, 3) == DenominatorPrime(p=2) and s_upper(2, 3) == Fraction(49, 10)
+    assert denominator_certificate(3, 4) is None  # s_upper(3, 4) = 351/35, no prime <= 3
+
+
+def test_denominator_verify_rejects_forgeries():
+    assert DenominatorPrime(p=5).verify(3, 4) and DenominatorPrime(p=7).verify(3, 4)  # 351/35
+    assert not DenominatorPrime(p=35).verify(3, 4)   # composite
+    assert not DenominatorPrime(p=1).verify(3, 4)
+    assert not DenominatorPrime(p=0).verify(3, 4)
+    assert not DenominatorPrime(p=3).verify(3, 4)    # divides 6, not the denominator
+    assert not DenominatorPrime(p=2).verify(3, 4)    # divides 6, not the denominator
+    assert not DenominatorPrime(p=11).verify(3, 4)   # divides no n + j
+
+
+def test_denominator_stage_is_cheap_at_the_largest_r_it_can_see():
+    # n is prime and so is n + 588: at r = g(n) - 1 = 587 no sylvester prime
+    # exists, the case in which classify can reach the denominator stage
+    n, r = 4611686018428973593, 587
+    assert is_prime(n) and is_prime(n + r + 1) and sylvester_certificate(r, n) is None
+
+    def timeout(signum, frame):
+        raise TimeoutError(f"the denominator stage at (r={r}, n={n}) took over 5 s")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(5)
+    try:
+        cert = denominator_certificate(r, n)
+        # the worst case tests every prime <= r
+        found = [p for p in primes_upto(r) if certify._denominator_residue(r, n, p)]
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert cert == DenominatorPrime(p=found[0]) and cert.verify(r, n)

@@ -1,12 +1,11 @@
 import csv
 import json
 import re
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from binsum.certify import OracleIntegral, classify
+from binsum.certify import Integral, classify
 from binsum.cli import main
 from binsum.records import certificate_from_record, parse_scan_line
 
@@ -118,7 +117,7 @@ def test_scan_resume_rejects_foreign_file(tmp_path, capsys):
 def test_scan_resume_reports_prior_integral(tmp_path):
     # a stored integral record must keep raising the headline exit status
     path = tmp_path / "claim.jsonl"
-    path.write_text('{"classification":"oracle_integral","n":"1","r":"9","value_denominator":"1","value_numerator":"7"}\n')
+    path.write_text('{"classification":"integral","n":"1","r":"9"}\n')
     assert run_cli(["scan", "--r", "9", "--n-start", "1", "--n-end", "1", "--out", str(path)]) == 1
 
 
@@ -126,7 +125,7 @@ def test_scan_exit_1_on_integral(monkeypatch, tmp_path, capsys):
     import binsum.cli as cli_mod
 
     def fake_classify(r, n):
-        return OracleIntegral(value=Fraction(4, 1))
+        return Integral()
 
     monkeypatch.setattr(cli_mod, "classify", fake_classify)
     out = tmp_path / "fake.jsonl"
@@ -449,13 +448,13 @@ def test_lemma2_has_only_the_gcd_threshold_flag(name, capsys):
 
 
 @pytest.mark.parametrize("record, complaint", [
-    ('{"classification":"undecided","n":"2999","r":"1"}', "holds undecided for n=2999"),
+    ('{"classification":"undecided","n":"2999","r":"1"}', "unknown classification 'undecided'"),
     ('{"classification":"oracle_nonintegral","n":"3023","r":"1","value_denominator":"2","value_numerator":"1"}',
-     "holds oracle_nonintegral for n=3023"),
+     "unknown classification 'oracle_nonintegral'"),
 ], ids=["undecided-then-larger-budget", "oracle-then-default-budget"])
 def test_scan_resume_refuses_records_of_another_budget(record, complaint, tmp_path, capsys):
-    # r = 1 instances without a certificate get an oracle value at n <= 3000
-    # and are undecided above; a record another budget would write is refused
+    # records of the evaluation budget that classify no longer has: r = 1
+    # instances were evaluated at n <= 3000 and left undecided above
     path = tmp_path / "scan.jsonl"
     path.write_text(record + "\n")
     n = json.loads(record)["n"]
@@ -467,16 +466,17 @@ def test_scan_resume_refuses_records_of_another_budget(record, complaint, tmp_pa
 
 
 def test_scan_resume_across_the_oracle_cutoff_matches_one_scan(tmp_path):
-    # the stored part ends in oracle values; the resumed part reaches the
-    # undecided n = 3023
+    # r = 1 across n = 3000, where the old evaluation budget ended: every n
+    # is certified on both sides, n = 3023 by p = 2
     one, resumed = tmp_path / "one.jsonl", tmp_path / "resumed.jsonl"
     base = ["scan", "--r", "1", "--n-start", "2990", "--threads", "1", "--out"]
     assert run_cli(base + [str(one), "--n-end", "3030"]) == 0
     assert run_cli(base + [str(resumed), "--n-end", "2999"]) == 0
     assert run_cli(base + [str(resumed), "--n-end", "3030"]) == 0
     assert resumed.read_bytes() == one.read_bytes()
-    kinds = {json.loads(line)["classification"] for line in one.read_text().splitlines()}
-    assert {"oracle_nonintegral", "certified_nonintegral", "undecided"} <= kinds
+    records = [json.loads(line) for line in one.read_text().splitlines()]
+    assert {rec["classification"] for rec in records} == {"certified_nonintegral"}
+    assert records[3023 - 2990]["certificate"] == {"type": "order", "p": "2", "j": "1"}
 
 
 @pytest.mark.parametrize("command", [
@@ -492,7 +492,7 @@ def test_the_oracle_budget_is_not_a_flag(command, capsys):
 
 @pytest.mark.parametrize("fmt", ["jsonl", "csv", "human"])
 @pytest.mark.parametrize("r, n, kind", [
-    (3, 4, "sylvester"), (7, 10**12 + 109815, "order"), (1, 3, "oracle_nonintegral"), (1, 3023, "undecided"),
+    (3, 4, "sylvester"), (7, 10**12 + 109815, "order"), (1, 3, "order"), (1, 3023, "order"),
 ])
 def test_certify_prints_what_a_one_n_scan_prints(r, n, kind, fmt, capsys):
     outcome = classify(r, n)
@@ -549,3 +549,39 @@ def test_scan_pool_has_no_more_workers_than_chunks(monkeypatch, capsys):
         assert run_cli(["scan", "--r", "23", "--n-start", "1", "--n-end", str(n_end), "--threads", str(threads)]) == 0
         assert sizes == expected
         assert len(capsys.readouterr().out.splitlines()) == n_end
+
+
+@pytest.mark.parametrize("field, value, complaint", [
+    ("n", None, "record n=None is not a decimal string"),
+    ("n", "1_0", "record n='1_0' is not a decimal string"),
+    ("n", 1.9, "record n=1.9 is not a decimal string"),
+    ("n", 10, "record n=10 is not a decimal string"),
+    ("n", "010", "record n='010' is not a decimal string"),
+    ("n", " 10", "record n=' 10' is not a decimal string"),
+    ("r", 4, "record r=4 does not match scan r='4'"),
+], ids=["n-null", "n-underscore", "n-float", "n-int", "n-leading-zero", "n-space", "r-int"])
+def test_scan_resume_refuses_a_malformed_record(field, value, complaint, tmp_path, capsys):
+    # only the decimal strings records are written with are read back
+    record = {"certificate": {"k0": "1", "p": "11", "type": "sylvester"},
+              "classification": "certified_nonintegral", "n": "10", "r": "4"}
+    record[field] = value
+    path = tmp_path / "scan.jsonl"
+    path.write_text(json.dumps(record) + "\n")
+    before = path.read_bytes()
+    assert run_cli(["scan", "--r", "4", "--n-start", "10", "--n-end", "12", "--out", str(path)]) == 2
+    assert complaint in capsys.readouterr().err
+    assert path.read_bytes() == before
+
+
+def test_golden_classification_certificates_are_sound():
+    # the golden classification rows: each certificate re-verifies and its
+    # prime is in the denominator of the exact value
+    from binsum.certify import s_lower
+    from binsum.exact import valuation
+
+    for case in ("certify-oracle-jsonl", "certify-sylvester-jsonl", "scan-jsonl"):
+        for line in GOLDEN[case]["stdout"].splitlines():
+            rec = json.loads(line)
+            r, n = int(rec["r"]), int(rec["n"])
+            cert = certificate_from_record(rec["certificate"])
+            assert cert.verify(r, n) and valuation(cert.p, s_lower(r, n)) < 0

@@ -121,9 +121,9 @@ def test_scan_density_single_instance():
 def test_scan_density_range():
     rep = scan_density(1, 1, 100)
     assert rep.total == 100
-    assert rep.counts["oracle_integral"] == 0
-    assert rep.counts["undecided"] == 0
+    assert rep.counts == {"certified_nonintegral": 100, "integral": 0}
     assert sum(rep.cert_counts.values()) == rep.counts["certified_nonintegral"]
+    assert rep.cert_counts["denominator"] == 0 and rep.integral_witnesses == []
 
 
 def test_scan_density_rejects_bad_ranges():

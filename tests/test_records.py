@@ -1,8 +1,7 @@
 import random
 from collections import Counter
-from fractions import Fraction
 
-from binsum.certify import OracleIntegral, classify
+from binsum.certify import CertifiedNonintegral, Integral, classify, denominator_certificate
 from binsum.records import classification_line, classification_record, to_json_line
 
 
@@ -41,10 +40,11 @@ def test_template_lines_match_the_encoder_with_huge_r():
 
 
 def test_oracle_and_undecided_lines_match_the_encoder():
-    # r = 1 is the only r whose instances reach the oracle; past its cutoff
-    # at n = 3000 they are undecided
-    cases = [(1, n, classify(1, n)) for n in range(1, 6001)]
-    cases.append((1, 3, OracleIntegral(value=Fraction(4, 1))))
+    # the outcomes without a template: denominator certificates, which
+    # classify reaches only when the other two stages fail, and Integral,
+    # which no instance checked so far gets
+    cases = [(r, n, CertifiedNonintegral(cert)) for r in range(2, 40) for n in range(1, 60)
+             if (cert := denominator_certificate(r, n)) is not None]
+    cases.append((1, 3, Integral()))
     seen = assert_lines_match(cases)
-    assert seen["oracle_nonintegral"] and seen["undecided"] == 92 and seen["oracle_integral"] == 1
-
+    assert seen["denominator"] == len(cases) - 1 > 1000 and seen["integral"] == 1
