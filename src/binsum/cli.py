@@ -270,9 +270,6 @@ def _load_resume(path: str, r: int, n_start: int, n_end: int) -> tuple[int, int]
                 os.truncate(path, size)
                 break
             size += len(line)
-            line = line.strip()
-            if not line:
-                continue
             try:
                 n, kind = parse_scan_line(line.decode("utf-8"), r)
             except ValueError as exc:

@@ -78,7 +78,7 @@ def find_tuple(r: int, gcd_exp: tuple[int, int] = GCD_EXP) -> TupleSearch:
         raise ValueError(f"find_tuple needs r >= 2: got {r}")
     width = floor_power(r, *INTERVAL_EXP)
     lo, hi = r + 1, r + width
-    primes = primes_in(lo, hi) if width >= 1 else []
+    primes = primes_in(lo, hi)
     candidates = [p for p in primes if power_compare(order2(p), r, *ORDER_EXP) > 0]
     witness = _select_tuple(r, candidates, gcd_exp)
     return TupleSearch(

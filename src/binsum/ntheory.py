@@ -3,7 +3,8 @@
 Everything here is exact and deterministic.  The supported domain for
 primality and factorization is m < 2**64; that bound is what makes the
 fixed Miller-Rabin witness set unconditional, so out-of-range inputs are
-rejected rather than answered probabilistically.
+rejected rather than answered probabilistically.  primes_in bounds its
+memory: it sieves [a, b] only when isqrt(b) <= 2**22, b - a <= WINDOW_LIMIT.
 """
 
 from __future__ import annotations
@@ -14,9 +15,10 @@ from functools import lru_cache
 
 U64_LIMIT = 1 << 64
 
-# Cap on the width of a primes_in() request (memory guard, not a
-# correctness bound).
+# primes_in's domain, memory guards rather than correctness bounds: the
+# width b - a of a window and isqrt(b), which caps its base primes.
 WINDOW_LIMIT = 10**8
+_DENSE_ROOT_LIMIT = 1 << 22
 
 # Deterministic Miller-Rabin witnesses for every m < 3.3 * 10**24 > 2**64.
 _MR_WITNESSES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
@@ -25,8 +27,6 @@ _TINY_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 _TRIAL_LIMIT = 1000          # trial-divide by all primes below this first
 _SEGMENT = 1 << 18           # segment width for windowed sieving
-_DENSE_ROOT_LIMIT = 1 << 22  # sieve windows when isqrt(b) fits below this
-_NARROW_FACTOR = 4           # see primes_in: the per-candidate switch
 _PRIME_CACHE_SIZE = 2048     # answers is_prime keeps; see is_prime
 
 _small_primes: list[int] = []
@@ -203,61 +203,27 @@ def smooth_divisor(r: int, m: int) -> int:
 
 
 def primes_in(a: int, b: int) -> list[int]:
-    """All primes p with a <= p <= b, ascending.
-
-    Selection rule, from (a, b) alone: with root = isqrt(b), each odd
-    candidate gets its own is_prime test when root > _DENSE_ROOT_LIMIT or
-    the window is narrow, (b - a) * 4 * root.bit_length() < root; otherwise
-    the window is sieved with the primes <= root.
-
-    Why: a sieve pass visits every base prime once, so its cost grows with
-    pi(root) ~ root / (0.69 * root.bit_length()) whatever the width, while
-    testing costs a few microseconds per odd candidate.  So the switch width
-    root / (4 * root.bit_length()) is about pi(root) / 6.  Timed on a
-    2-vCPU x86 VM, the two paths break even near width 16 at root 10**2,
-    64 at 10**3, 350 at 10**4, 1000-2000 at 10**5 and 6000-12000 at 10**6,
-    where one sieve pass costs ~30 ms.  The rule switches at 3, 24, 178,
-    1470 and 12499: at the crossover for roots >= 10**5, and earlier
-    (keeping the sieve) below, where both paths cost under a millisecond
-    and a call's fixed costs favour testing.
-    """
-    if not 1 <= a <= b < U64_LIMIT:
-        raise ValueError(f"primes_in needs 1 <= a <= b < 2**64: got [{a}, {b}]")
+    """All primes p with a <= p <= b, ascending, by a segmented sieve with
+    the base primes <= isqrt(b).  The domain is 1 <= a <= b with
+    b - a <= WINDOW_LIMIT and isqrt(b) <= 2**22 (b <= 2**44 + 2**23), both
+    memory bounds; any other window raises ValueError."""
+    if not 1 <= a <= b:
+        raise ValueError(f"primes_in needs 1 <= a <= b: got [{a}, {b}]")
     if b - a > WINDOW_LIMIT:
         raise ValueError(f"window width {b - a} exceeds limit {WINDOW_LIMIT}")
-    a = max(a, 2)
-    if b < 2:
-        return []
     root = math.isqrt(b)
-    if root > _DENSE_ROOT_LIMIT or (b - a) * _NARROW_FACTOR * root.bit_length() < root:
-        return _test_window(a, b)
-    return _sieve_window(a, b, root)
-
-
-def _test_window(a: int, b: int) -> list[int]:
-    """Primes in [a, b] (2 <= a <= b < 2**64) by one is_prime per odd candidate."""
-    out = [2] if a == 2 else []
-    for x in range(a | 1, b + 1, 2):
-        if is_prime(x):
-            out.append(x)
-    return out
-
-
-def _sieve_window(a: int, b: int, root: int) -> list[int]:
-    """Primes in [a, b] (2 <= a <= b, root = isqrt(b)) by a segmented sieve
-    with the base primes <= root."""
+    if root > _DENSE_ROOT_LIMIT:
+        raise ValueError(f"primes_in needs isqrt(b) <= {_DENSE_ROOT_LIMIT}: got {root}")
     base = primes_upto(root)
     out = []
-    lo = a
+    lo = max(a, 2)
     while lo <= b:
         hi = min(lo + _SEGMENT - 1, b)
         seg = bytearray([1]) * (hi - lo + 1)
         for p in base:
             if p * p > hi:
                 break
-            start = max(p * p, (lo + p - 1) // p * p)
-            if start > hi:
-                continue
+            start = max(p * p, (lo + p - 1) // p * p)  # <= hi + p - 1: count >= 0
             seg[start - lo :: p] = bytearray((hi - start) // p + 1)
         out.extend(lo + i for i, f in enumerate(seg) if f)
         lo = hi + 1

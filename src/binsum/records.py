@@ -40,15 +40,23 @@ def certificate_record(cert: Certificate) -> dict[str, str]:
     raise TypeError(f"not a certificate: {cert!r}")
 
 
+def _decimal(rec: dict, key: str) -> int:
+    """rec[key], which must be the canonical decimal string records write."""
+    value = rec.get(key)
+    if not (isinstance(value, str) and value.isdecimal() and str(int(value)) == value):
+        raise ValueError(f"record {key}={value!r} is not a decimal string")
+    return int(value)
+
+
 def certificate_from_record(rec: dict[str, str]) -> Certificate:
     """Inverse of certificate_record, for re-verifying stored results."""
     kind = rec.get("type")
     if kind == "sylvester":
-        return SylvesterPrime(p=int(rec["p"]), k0=int(rec["k0"]))
+        return SylvesterPrime(p=_decimal(rec, "p"), k0=_decimal(rec, "k0"))
     if kind == "order":
-        return OrderCertificate(p=int(rec["p"]), j=int(rec["j"]))
+        return OrderCertificate(p=_decimal(rec, "p"), j=_decimal(rec, "j"))
     if kind == "denominator":
-        return DenominatorPrime(p=int(rec["p"]))
+        return DenominatorPrime(p=_decimal(rec, "p"))
     raise ValueError(f"unknown certificate type: {kind!r}")
 
 
@@ -111,7 +119,12 @@ def parse_scan_line(line: str, expected_r: int) -> tuple[int, str]:
     Raises ValueError when the line does not look like a scan record for
     this r (schema check before resuming).
     """
-    rec = json.loads(line)
+    if not line.strip():
+        raise ValueError("blank line")
+    try:
+        rec = json.loads(line)
+    except RecursionError:
+        raise ValueError("record nests too deeply to parse") from None
     if not isinstance(rec, dict):
         raise ValueError("record is not an object")
     for key in ("r", "n", "classification"):
@@ -119,9 +132,7 @@ def parse_scan_line(line: str, expected_r: int) -> tuple[int, str]:
             raise ValueError(f"record lacks key {key!r}")
     if rec["r"] != str(expected_r):
         raise ValueError(f"record r={rec['r']!r} does not match scan r={str(expected_r)!r}")
-    n = rec["n"]
-    if not (isinstance(n, str) and n.isdecimal() and str(int(n)) == n):
-        raise ValueError(f"record n={n!r} is not a decimal string")
+    n = _decimal(rec, "n")
     if rec["classification"] not in CLASSIFICATION_KINDS:
         raise ValueError(f"unknown classification {rec['classification']!r}")
-    return int(n), rec["classification"]
+    return n, rec["classification"]

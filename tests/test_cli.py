@@ -573,6 +573,26 @@ def test_scan_resume_refuses_a_malformed_record(field, value, complaint, tmp_pat
     assert path.read_bytes() == before
 
 
+_R3_N1 = '{"certificate":{"k0":"1","p":"2","type":"sylvester"},"classification":"certified_nonintegral","n":"1","r":"3"}\n'
+_R3_N2 = '{"certificate":{"k0":"1","p":"3","type":"sylvester"},"classification":"certified_nonintegral","n":"2","r":"3"}\n'
+
+
+@pytest.mark.parametrize("text, complaint", [
+    ("[" * 200_000 + "\n", "scan.jsonl:1: not a scan record for r=3: record nests too deeply to parse"),
+    (_R3_N1 + "\n" + "   \n", "scan.jsonl:2: not a scan record for r=3: blank line"),
+    (_R3_N1 + "   \n", "scan.jsonl:2: not a scan record for r=3: blank line"),
+    (_R3_N1 + "\n" + _R3_N2, "scan.jsonl:2: not a scan record for r=3: blank line"),
+], ids=["deep-nesting", "empty-line", "spaces-line", "blank-between-records"])
+def test_scan_resume_refuses_a_line_that_is_not_a_record(text, complaint, tmp_path, capsys):
+    # exit 2 (not 1, the counterexample code), naming the line, file untouched
+    path = tmp_path / "scan.jsonl"
+    path.write_text(text)
+    before = path.read_bytes()
+    assert run_cli(["scan", "--r", "3", "--n-start", "1", "--n-end", "5", "--out", str(path)]) == 2
+    assert complaint in capsys.readouterr().err
+    assert path.read_bytes() == before
+
+
 def test_golden_classification_certificates_are_sound():
     # the golden classification rows: each certificate re-verifies and its
     # prime is in the denominator of the exact value

@@ -174,13 +174,6 @@ def test_primes_in_agrees_with_is_prime_on_random_windows():
         assert primes_in(a, b) == [m for m in range(a, b + 1) if is_prime(m)]
 
 
-def test_primes_in_sparse_path():
-    a = (1 << 50) + 1
-    got = primes_in(a, a + 1000)
-    assert got == [m for m in range(a, a + 1001) if is_prime(m)]
-    assert got  # the window does contain primes
-
-
 def plain_primes_in(a, b):
     """Primes in [a, b] by a plain sieve of Eratosthenes: base primes from a
     bytearray sieve up to isqrt(b), then their multiples struck from the window."""
@@ -198,35 +191,33 @@ def plain_primes_in(a, b):
 
 
 @pytest.mark.parametrize("n", [10**6, 10**9, 10**12])
-def test_primes_in_paths_agree_around_the_switch(n, monkeypatch):
-    # the per-candidate tests and the sieve give the same primes on windows
-    # on both sides of the width where primes_in switches between them
-    def per_candidate(width):
-        root = math.isqrt(n + 1 + width)
-        return width * ntheory._NARROW_FACTOR * root.bit_length() < root
-
-    switch = max(w for w in range(1, 10**5) if per_candidate(w))
-    sieved = []
-    real_primes_upto = ntheory.primes_upto
-    monkeypatch.setattr(ntheory, "primes_upto", lambda m: sieved.append(m) or real_primes_upto(m))
-    for width in (1, 6, switch - 2, switch - 1, switch, switch + 1, switch + 2, 2 * switch):
+def test_primes_in_matches_a_plain_sieve(n):
+    for width in (0, 1, 6, 24, 178, 1470, 12499, 25000):
         a, b = n + 1, n + 1 + width
-        expected = plain_primes_in(a, b)
-        root = math.isqrt(b)
-        assert ntheory._test_window(a, b) == expected, (n, width)
-        assert ntheory._sieve_window(a, b, root) == expected, (n, width)
-        sieved.clear()
-        assert primes_in(a, b) == expected, (n, width)
-        assert bool(sieved) != per_candidate(width), (n, width, sieved)
+        assert primes_in(a, b) == plain_primes_in(a, b), (n, width)
 
 
-def test_narrow_window_at_1e12_builds_no_base_primes(monkeypatch):
+def test_primes_in_refuses_windows_past_its_root_bound(monkeypatch):
+    # a window up to b is sieved with the primes <= isqrt(b), whose own sieve
+    # would take gigabytes near 2**64, so isqrt(b) > 2**22 is refused
+    a = (1 << 50) + 1
+    with pytest.raises(ValueError, match="isqrt"):
+        primes_in(a, a + 1000)
+    with pytest.raises(ValueError, match="isqrt"):
+        primes_in(U64_LIMIT - 11, U64_LIMIT - 1)
+    monkeypatch.setattr(ntheory, "_DENSE_ROOT_LIMIT", 10)
+    assert primes_in(100, 120) == [101, 103, 107, 109, 113]  # isqrt(120) = 10
+    with pytest.raises(ValueError, match="isqrt"):
+        primes_in(100, 121)  # isqrt(121) = 11
+    with pytest.raises(ValueError, match="isqrt"):
+        primes_in(121, 121)
+
+
+def test_classify_at_1e12_builds_no_base_primes(monkeypatch):
     calls = []
     real_primes_upto = ntheory.primes_upto
     monkeypatch.setattr(ntheory, "primes_upto", lambda m: calls.append(m) or real_primes_upto(m))
     a = 10**12
-    assert primes_in(a, a + 7) == plain_primes_in(a, a + 7)
-    assert not [m for m in calls if m > 10**5], calls
     # (a + 1, a + 8] holds no prime, so both certificate searches run, on
     # the trial primes built at import
     assert classify(7, a + 1).certificate == OrderCertificate(p=17, j=3)

@@ -1,8 +1,10 @@
 import random
 from collections import Counter
 
+import pytest
+
 from binsum.certify import CertifiedNonintegral, Integral, classify, denominator_certificate
-from binsum.records import classification_line, classification_record, to_json_line
+from binsum.records import certificate_from_record, classification_line, classification_record, to_json_line
 
 
 def reference(r, n, outcome):
@@ -48,3 +50,23 @@ def test_oracle_and_undecided_lines_match_the_encoder():
     cases.append((1, 3, Integral()))
     seen = assert_lines_match(cases)
     assert seen["denominator"] == len(cases) - 1 > 1000 and seen["integral"] == 1
+
+
+@pytest.mark.parametrize("rec, field", [
+    ({"type": "sylvester", "p": "1_3", "k0": "1"}, "p"),
+    ({"type": "order", "p": "+5", "j": "1"}, "p"),
+    ({"type": "order", "p": "5"}, "j"),
+    ({"type": "order", "p": "5", "j": None}, "j"),
+    ({"type": "sylvester", "p": "13", "k0": "1.0"}, "k0"),
+    ({"type": "sylvester", "p": "13", "k0": 1}, "k0"),
+    ({"type": "sylvester", "p": "13"}, "k0"),
+    ({"type": "denominator", "p": "07"}, "p"),
+    ({"type": "denominator", "p": " 7"}, "p"),
+    ({"type": "denominator"}, "p"),
+], ids=["underscore", "plus", "missing-j", "null-j", "float-k0", "int-k0", "missing-k0",
+        "leading-zero", "space", "missing-p"])
+def test_certificate_from_record_takes_only_canonical_decimals(rec, field):
+    # the stored integers are read back only as the decimal strings records
+    # write; anything else is a ValueError naming the field
+    with pytest.raises(ValueError, match=f"record {field}="):
+        certificate_from_record(rec)
