@@ -228,8 +228,15 @@ def order_certificate(r: int, n: int) -> Optional[OrderCertificate]:
     """Smallest prime p > r dividing some n + j (1 <= j <= r) with
     order2(p) not dividing n + j, with its (unique) j, or None.
 
-    The order condition is tested as pow(2, n + j, p) != 1 (see
-    OrderCertificate for the equivalence and for p = 2).
+    The order condition is 2**(n + j) != 1 (mod p) (see OrderCertificate
+    for the equivalence and for p = 2).  The fast path reduces the exponent:
+    with m = n + j, s = m mod (q - 1) and e = s + q - 1, it tests
+    pow(2, e, q) != 1.  For odd q, 2**(q - 1) == 1 (mod q) by Fermat, so
+    2**m = (2**(q - 1))**(m // (q - 1)) * 2**s == 2**s == 2**e (mod q).
+    For q = 2 (r = 1), s = 0 and e = 1, and 2**e == 2**m == 0 (mod 2) as
+    m >= 2: the summand q - 1 keeps e >= 1, where the exponent s = 0 would
+    give pow(2, 0, 2) = 1.  The factoring search and OrderCertificate.verify
+    keep the unreduced power, so verify stays an independent re-check.
 
     Fast path: walk the primes q in (r, _TRIAL_LIMIT) ascending.  As q > r,
     at most one n + j (1 <= j <= r) is a multiple of q: the one with
@@ -243,7 +250,7 @@ def order_certificate(r: int, n: int) -> Optional[OrderCertificate]:
     _check_instance(r, n)
     for q in _TRIAL_PRIMES[bisect_right(_TRIAL_PRIMES, r) :]:
         j = -n % q or q
-        if j <= r and pow(2, n + j, q) != 1:
+        if j <= r and pow(2, (n + j) % (q - 1) + q - 1, q) != 1:
             return OrderCertificate(p=q, j=j)
     qualifying = ((q, j) for j in range(1, r + 1) for q, _ in _factorize(n + j) if q > r and pow(2, n + j, q) != 1)
     best = min(qualifying, default=None)

@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import io
 import multiprocessing
 import os
@@ -118,7 +119,12 @@ def _parse_exponent(text: str) -> tuple[int, int]:
     return int(match[1]), int(match[2] or 1)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built on first use and then kept for
+    the life of the process, so repeated main calls parse with one parser.
+    Nothing in it depends on when it was built: an omitted --threads parses
+    to None, and each scan resolves that to the CPUs usable when it runs."""
     parser = argparse.ArgumentParser(
         prog="binsum",
         description="Exact toolkit for the binomial sums sum k/(k+r)*C(n,k) and their nonintegrality certificates.",
@@ -147,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--n-start", type=int, required=True)
     p.add_argument("--n-end", type=int, required=True)
-    p.add_argument("--threads", type=int, default=_usable_cpus())
+    p.add_argument("--threads", type=int, default=None)
 
     p = sub.add_parser("lemma2", help="six-prime short-interval witness search")
     p.set_defaults(handler=_cmd_lemma2)
@@ -292,7 +298,7 @@ def _cmd_scan(args) -> _Output:
     if n_end < n_start:
         raise ValueError(f"empty scan range [{n_start}, {n_end}]")
     _check_instance(r, n_end)
-    threads = _positive("threads", args.threads)
+    threads = _positive("threads", _usable_cpus() if args.threads is None else args.threads)
 
     done, prior_integral = _load_resume(args.out, r, n_start, n_end) if args.resuming else (0, 0)
 

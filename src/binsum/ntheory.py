@@ -52,6 +52,8 @@ def primes_upto(n: int) -> list[int]:
 
 
 _TRIAL_PRIMES = tuple(primes_upto(_TRIAL_LIMIT))
+_TRIAL_SET = frozenset(_TRIAL_PRIMES)
+_TRIAL_PRODUCT = math.prod(_TRIAL_PRIMES)
 
 
 @lru_cache(maxsize=_PRIME_CACHE_SIZE)
@@ -69,13 +71,25 @@ def is_prime(m: int) -> bool:
     scan tests each integer once while the cache holds a whole walk; an LRU
     cache shorter than the walk misses on every integer of it.  No prime
     gap below 2**64 exceeds 1550, so 2048 entries hold every such walk.
+
+    Miller-Rabin runs only on m >= 10**6 with no prime factor below
+    _TRIAL_LIMIT = 1000.  The tiny primes go first, one remainder each,
+    which is cheaper than the gcd below on the many m they divide.  Then
+    g = gcd(m, _TRIAL_PRODUCT), the product of the primes below 1000.  If
+    g != 1, some prime p < 1000 divides m, and m is prime iff m = p, that is
+    iff m is one of those primes.  If g = 1, m has no prime factor below
+    1000.  A composite m has a prime factor <= isqrt(m), so such a composite
+    is >= 1009**2 (1009 is the least prime above 1000) > 10**6.  Hence
+    every m < 10**6 with g = 1 is 1 or a prime.
     """
     if not 1 <= m < U64_LIMIT:
         raise ValueError(f"is_prime domain is [1, 2**64): got {m}")
     for p in _TINY_PRIMES:
         if m % p == 0:
             return m == p
-    if m < 41 * 41:
+    if math.gcd(m, _TRIAL_PRODUCT) != 1:
+        return m in _TRIAL_SET
+    if m < _TRIAL_LIMIT**2:
         return m > 1
     d = m - 1
     s = (d & -d).bit_length() - 1

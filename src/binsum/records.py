@@ -50,6 +50,8 @@ def _decimal(rec: dict, key: str) -> int:
 
 def certificate_from_record(rec: dict[str, str]) -> Certificate:
     """Inverse of certificate_record, for re-verifying stored results."""
+    if not isinstance(rec, dict):
+        raise ValueError(f"record certificate={rec!r} is not an object")
     kind = rec.get("type")
     if kind == "sylvester":
         return SylvesterPrime(p=_decimal(rec, "p"), k0=_decimal(rec, "k0"))
@@ -117,7 +119,9 @@ def parse_scan_line(line: str, expected_r: int) -> tuple[int, str]:
     """Validate one stored jsonl scan line; return its (n, classification).
 
     Raises ValueError when the line does not look like a scan record for
-    this r (schema check before resuming).
+    this r (schema check before resuming), or when it is not the exact
+    bytes to_json_line writes for its record (padding, key order, spacing):
+    a resumed file must equal a one-shot scan byte for byte.
     """
     if not line.strip():
         raise ValueError("blank line")
@@ -135,4 +139,6 @@ def parse_scan_line(line: str, expected_r: int) -> tuple[int, str]:
     n = _decimal(rec, "n")
     if rec["classification"] not in CLASSIFICATION_KINDS:
         raise ValueError(f"unknown classification {rec['classification']!r}")
+    if line.removesuffix("\n") != to_json_line(rec):
+        raise ValueError("record is not in the canonical form a scan writes")
     return n, rec["classification"]

@@ -224,6 +224,18 @@ def order_cases():
         yield r, rng.randrange(1, 4000)
     for r in (995, 1003):
         yield r, 10**12 + rng.randrange(10**9)
+    # r = 1 in each band, n + 1 even and odd: q = 2 qualifies iff it divides n + 1
+    for band in (1, 10**12, 2**62):
+        n = band + 2 * rng.randrange(10**6)
+        yield 1, n
+        yield 1, n + 1
+    # q | n + j with 2**(n + j) == 1 (mod q): the walk must pass q over
+    for band in (1, 10**12, 2**62):
+        for _ in range(20):
+            r = rng.randrange(1, 40)
+            q = rng.choice([p for p in primes_upto(200) if p > max(r, 2)])
+            step = q * order2(q)
+            yield r, (band + rng.randrange(10**6)) // step * step + step - rng.randrange(1, r + 1)
 
 
 def test_order_certificate_smallest_prime_then_index():

@@ -1,6 +1,9 @@
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -407,12 +410,48 @@ def test_parallel_scan_memory_is_bounded(tmp_path):
 
 
 @pytest.mark.parametrize("mask", [{0}, {2, 5, 7}], ids=["one-cpu", "three-cpus"])
-def test_scan_threads_default_to_the_usable_cpus(mask, monkeypatch):
+def test_scan_threads_default_to_the_usable_cpus(mask, pool_sizes, monkeypatch, capsys):
+    # an omitted --threads is the CPUs in the affinity mask when the scan
+    # runs, also when the cached parser was built earlier under another mask
     import binsum.cli as cli_mod
 
-    monkeypatch.setattr(cli_mod.os, "sched_getaffinity", lambda pid: mask, raising=False)
-    args = cli_mod.build_parser().parse_args(["scan", "--r", "1", "--n-start", "1", "--n-end", "2"])
-    assert args.threads == len(mask)
+    for built_earlier in (False, True):
+        cli_mod.build_parser.cache_clear()
+        if built_earlier:
+            monkeypatch.setattr(cli_mod.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+            cli_mod.build_parser()
+        monkeypatch.setattr(cli_mod.os, "sched_getaffinity", lambda pid: mask, raising=False)
+        pool_sizes.clear()
+        # four chunks: a pool of len(mask) workers, or none for one worker
+        assert run_cli(["scan", "--r", "1", "--n-start", "1", "--n-end", "2048"]) == 0
+        assert pool_sizes == ([len(mask)] if len(mask) > 1 else [])
+        assert len(capsys.readouterr().out.splitlines()) == 2048
+
+
+def test_the_parser_is_built_on_first_use_and_once_per_process(tmp_path):
+    import binsum.cli as cli_mod
+
+    # importing builds none: that cost would move out of a timed first call
+    code = "import binsum.cli; print(binsum.cli.build_parser.cache_info().currsize)"
+    src = str(Path(cli_mod.__file__).parent.parent)
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "0\n"
+    cli_mod.build_parser.cache_clear()
+    for k in range(3):
+        assert main(["certify", "--r", "1", "--n", "1", "--out", str(tmp_path / f"{k}.jsonl")]) == 0
+    assert cli_mod.build_parser.cache_info().misses == 1
+
+
+HELP = json.loads((Path(__file__).parent / "data" / "cli_help.json").read_text())
+
+
+@pytest.mark.parametrize("argv", sorted(HELP))
+def test_help_text_is_unchanged(argv, monkeypatch, capsys):
+    # recorded at 200 columns, where no line wraps, before the parser was cached
+    monkeypatch.setenv("COLUMNS", "200")
+    assert run_cli(argv.split()) == 0
+    assert capsys.readouterr().out == HELP[argv]
 
 
 def test_benchmark_tracer_layers_resolve_and_fire(tmp_path, monkeypatch):
@@ -520,7 +559,10 @@ def test_scan_resume_rejects_unknown_classification(tmp_path, capsys):
     assert path.read_bytes() == before
 
 
-def test_scan_pool_has_no_more_workers_than_chunks(monkeypatch, capsys):
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The worker count of each pool a scan starts; the fake pool runs the
+    chunks in this process."""
     import binsum.cli as cli_mod
 
     sizes = []
@@ -539,15 +581,19 @@ def test_scan_pool_has_no_more_workers_than_chunks(monkeypatch, capsys):
             return map(func, tasks)
 
     monkeypatch.setattr(cli_mod.multiprocessing, "Pool", FakePool)
+    return sizes
+
+
+def test_scan_pool_has_no_more_workers_than_chunks(pool_sizes, capsys):
     for n_end, threads, expected in [
         (600, 8, [2]),    # two chunks: two workers, not eight
         (2000, 3, [3]),   # four chunks: as many workers as asked
         (600, 1, []),     # one worker: no pool
         (512, 8, []),     # one chunk: no pool
     ]:
-        sizes.clear()
+        pool_sizes.clear()
         assert run_cli(["scan", "--r", "23", "--n-start", "1", "--n-end", str(n_end), "--threads", str(threads)]) == 0
-        assert sizes == expected
+        assert pool_sizes == expected
         assert len(capsys.readouterr().out.splitlines()) == n_end
 
 
@@ -590,6 +636,30 @@ def test_scan_resume_refuses_a_line_that_is_not_a_record(text, complaint, tmp_pa
     before = path.read_bytes()
     assert run_cli(["scan", "--r", "3", "--n-start", "1", "--n-end", "5", "--out", str(path)]) == 2
     assert complaint in capsys.readouterr().err
+    assert path.read_bytes() == before
+
+
+_R3_N1_RECORD = json.loads(_R3_N1)
+
+
+@pytest.mark.parametrize("line", [
+    "  " + _R3_N1[:-1] + "   \n",
+    json.dumps(dict(reversed(_R3_N1_RECORD.items())), separators=(",", ":")) + "\n",
+    json.dumps(_R3_N1_RECORD, sort_keys=True) + "\n",
+    _R3_N1[:-1] + "\r\n",
+    _R3_N1.replace('"n":"1"', '"n":"\\u0031"'),
+    _R3_N1.replace('"n":"1"', '"n":"2","n":"1"'),
+], ids=["padded", "key-order", "separators", "crlf", "escaped", "duplicate-key"])
+def test_scan_resume_refuses_a_record_not_in_canonical_form(line, tmp_path, capsys):
+    # each line parses to the n = 1 record, but a resumed file must equal a
+    # one-shot scan byte for byte
+    assert json.loads(line) == _R3_N1_RECORD and line != _R3_N1
+    path = tmp_path / "scan.jsonl"
+    path.write_text(line, newline="")
+    before = path.read_bytes()
+    assert run_cli(["scan", "--r", "3", "--n-start", "1", "--n-end", "3", "--out", str(path)]) == 2
+    assert ("scan.jsonl:1: not a scan record for r=3: record is not in the canonical form a scan writes"
+            in capsys.readouterr().err)
     assert path.read_bytes() == before
 
 

@@ -38,6 +38,42 @@ def test_is_prime_agrees_with_trial_division():
         assert is_prime(m) == trial_is_prime(m), m
 
 
+def test_is_prime_matches_a_plain_sieve_past_the_trial_square():
+    # crosses 10**6, below which no Miller-Rabin runs, and 1009 * 1013, the
+    # second composite above it with no prime factor below 1000
+    limit = 1_100_000
+    sieve = bytearray([1]) * (limit + 1)
+    sieve[0] = sieve[1] = 0
+    for p in range(2, math.isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
+    assert 1009**2 < 1009 * 1013 < limit
+    assert [m for m in range(1, limit + 1) if is_prime(m)] == [m for m in range(limit + 1) if sieve[m]]
+
+
+@pytest.mark.parametrize("m, factors", [
+    (3825123056546413051, (149491, 747451, 34233211)),   # strong pseudoprime to bases 2..23
+    (341550071728321, (10670053, 32010157)),             # strong pseudoprime to bases 2..17
+    (561, (3, 11, 17)),                                  # Carmichael numbers
+    (41041, (7, 11, 13, 41)),
+    (9624742921, (1171, 2341, 3511)),
+    (18404023255395111361, (1452961, 2905921, 4358881)),
+    (4294967279 * 4294967291, (4294967279, 4294967291)),  # semiprimes near 2**64
+    (4294967291**2, (4294967291, 4294967291)),
+    (1009 * 18282204235589093, (1009, 18282204235589093)),
+    (1013 * 18210013893099257, (1013, 18210013893099257)),
+    (997 * 18502250826188083, (997, 18502250826188083)),
+], ids=["spsp-2-23", "spsp-2-17", "carmichael-561", "carmichael-41041", "carmichael-1171",
+        "carmichael-near-2**64", "semiprime-2**32", "square-2**32", "semiprime-1009", "semiprime-1013",
+        "semiprime-997"])
+def test_is_prime_refuses_hard_composites(m, factors):
+    # the gcd with the primes below 1000 and the 10**6 bound must still send
+    # these to Miller-Rabin (or catch their factor below 1000)
+    assert math.prod(factors) == m < U64_LIMIT
+    assert all(is_prime(p) for p in factors)
+    assert not is_prime(m)
+
+
 def test_is_prime_rejects_out_of_domain():
     for _ in range(2):  # a raising call is not cached, so it raises again
         with pytest.raises(ValueError):

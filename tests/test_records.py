@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -70,3 +71,18 @@ def test_certificate_from_record_takes_only_canonical_decimals(rec, field):
     # write; anything else is a ValueError naming the field
     with pytest.raises(ValueError, match=f"record {field}="):
         certificate_from_record(rec)
+
+
+@pytest.mark.parametrize("value", [5, [1], None, "x"], ids=["int", "list", "null", "string"])
+def test_certificate_from_record_refuses_a_certificate_that_is_not_an_object(value, tmp_path, monkeypatch):
+    with pytest.raises(ValueError, match="record certificate=.* is not an object"):
+        certificate_from_record(value)
+    # the benchmark gate lists such a record as a failure instead of crashing
+    monkeypatch.syspath_prepend(str(Path(__file__).parent.parent / "perfbench"))
+    import gate
+
+    path = tmp_path / "scan.jsonl"
+    path.write_text(to_json_line({"certificate": value, "classification": "certified_nonintegral",
+                                  "n": "1", "r": "3"}) + "\n")
+    assert gate.check_scan([str(path)], 3, 1, 1).failures == [
+        f"n=1: unreadable certificate: record certificate={value!r} is not an object"]
