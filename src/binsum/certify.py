@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import comb, lcm
-from typing import Optional, Union
+from typing import Optional, Union, get_args
 
 from .exact import _int_valuation
 from .ntheory import U64_LIMIT, _TRIAL_LIMIT, _TRIAL_PRIMES, _factorize, is_prime, primes_upto
@@ -186,9 +186,9 @@ class Integral:
 
 Classification = Union[CertifiedNonintegral, Integral]
 
-CLASSIFICATION_KINDS = ("certified_nonintegral", "integral")
+CLASSIFICATION_KINDS = tuple(cls.kind for cls in get_args(Classification))
 
-CERTIFICATE_KINDS = ("sylvester", "order", "denominator")
+CERTIFICATE_KINDS = tuple(cls.kind for cls in get_args(Certificate))
 
 
 def sylvester_certificate(r: int, n: int) -> Optional[SylvesterPrime]:

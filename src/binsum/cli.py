@@ -22,9 +22,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import functools
-import io
 import multiprocessing
 import os
 import re
@@ -52,10 +50,10 @@ from .experiments import (
 )
 from .records import (
     CSV_COLUMNS,
+    LINE_FORMATS,
     classification_line,
-    classification_record,
     parse_scan_line,
-    to_csv_row,
+    record,
     to_human_line,
     to_json_line,
 )
@@ -94,15 +92,6 @@ def _positive(name: str, value: int) -> int:
     if value < 1:
         raise ValueError(f"{name} must be >= 1: got {value}")
     return value
-
-
-def _record(**fields) -> dict:
-    """A record whose ints, also inside sequences, are decimal strings."""
-
-    def text(value):
-        return str(value) if type(value) is int else value
-
-    return {k: [text(x) for x in v] if isinstance(v, (list, tuple)) else text(v) for k, v in fields.items()}
 
 
 def _usable_cpus() -> int:
@@ -189,7 +178,7 @@ def _cmd_oracle(args) -> _Output:
         value = s_upper_closed(r, n)
     else:
         value = (s_upper if args.upper else s_lower)(r, n)
-    rec = _record(r=r, n=n, sum=which, value_numerator=value.numerator, value_denominator=value.denominator)
+    rec = record(r=r, n=n, sum=which, value_numerator=value.numerator, value_denominator=value.denominator)
     human = f"(r={r}, n={n}) {which} sum = {value.numerator}/{value.denominator}"
     return [rec], lambda _: human, lambda: EXIT_FOUND if value.denominator == 1 else EXIT_OK
 
@@ -211,7 +200,7 @@ def _cmd_identity(args) -> _Output:
                 closed_ok = upper == s_upper_closed(r, n)
                 comp_ok = s_lower(r, n) + upper == 1 << n
                 bad += not (closed_ok and comp_ok)
-                yield _record(r=r, n=n, closed_form_ok=closed_ok, complement_ok=comp_ok)
+                yield record(r=r, n=n, closed_form_ok=closed_ok, complement_ok=comp_ok)
 
     def human(rec: dict) -> str:
         closed, comp = ("ok" if rec[key] else "FAIL" for key in ("closed_form_ok", "complement_ok"))
@@ -236,18 +225,10 @@ def _classify_chunk(task: tuple[int, range, str]) -> tuple[Counter, str]:
     the count of each classification and the chunk's lines in the format,
     newline-terminated (csv without the header, which the writer adds)."""
     r, ns, fmt = task
+    line = LINE_FORMATS[fmt]
     outcomes = [(n, classify(r, n)) for n in ns]
     counts = Counter(outcome.kind for _, outcome in outcomes)
-    if fmt == "jsonl":
-        lines = [classification_line(r, n, outcome) for n, outcome in outcomes]
-    elif fmt == "csv":
-        text = io.StringIO()
-        csv.writer(text, lineterminator="\n").writerows(
-            to_csv_row(classification_record(r, n, outcome)) for n, outcome in outcomes)
-        return counts, text.getvalue()
-    else:
-        lines = [to_human_line(classification_record(r, n, outcome)) for n, outcome in outcomes]
-    return counts, "".join(line + "\n" for line in lines)
+    return counts, "".join(line(r, n, outcome) + "\n" for n, outcome in outcomes)
 
 
 def _resuming(args) -> bool:
@@ -263,15 +244,19 @@ def _load_resume(path: str, r: int, n_start: int, n_end: int) -> tuple[int, int]
     """Count the records (and the integral ones) already in a jsonl scan
     file, which must hold n = n_start, n_start + 1, ... in order and stop at
     or before n_end: appending then keeps the file sorted and gap-free.  A
-    final line without its newline, the torn tail of a killed run, is cut
-    off once every complete line has passed these checks, so main can
-    append.  The file is read one line at a time."""
+    final line without its newline is cut off, so main can append, only if
+    it begins the line the scan writes next: the torn tail of a killed run.
+    The file is read one line at a time."""
     done = 0
     integral = 0
     size = 0  # bytes in the complete lines read so far
     with open(path, "rb") as handle:
         for lineno, line in enumerate(handle, 1):
             if not line.endswith(b"\n"):
+                n = n_start + done
+                if n > n_end or not (classification_line(r, n, classify(r, n)) + "\n").encode().startswith(line):
+                    raise ValueError(f"{path}:{lineno}: a final line without its newline that does not begin the "
+                                     f"record for n={n} of a scan of [{n_start}, {n_end}]; refusing to cut it off")
                 print(f"binsum: {path}:{lineno}: dropping a torn final line", file=sys.stderr)
                 os.truncate(path, size)
                 break
@@ -336,11 +321,11 @@ def _cmd_lemma2(args) -> _Output:
     witness = None
     if w is not None:
         check = verify_tuple(w, gcd_exp)
-        witness = _record(
+        witness = record(
             primes=w.primes, orders=w.orders, pair_gcds=w.pair_gcds, lcm_m=w.lcm_m,
             verified=check.conditions_ok, lcm_bound_ok=check.bound_ok,
         )
-    rec = _record(
+    rec = record(
         r=r, interval_lo=lo, interval_hi=hi, interval_primes=result.interval_primes,
         order_passed=result.order_passed, witness=witness,
     )
@@ -355,7 +340,7 @@ def _cmd_lemma2(args) -> _Output:
 def _cmd_census(args) -> _Output:
     t = _positive("t", args.t)
     count, primes = small_order_census(t)
-    rec = _record(t=t, count=count, primes=primes)
+    rec = record(t=t, count=count, primes=primes)
     listing = f": {primes}" if primes else ""
     return [rec], lambda _: f"census t={t}: {count} small-order primes{listing}", lambda: EXIT_OK
 
@@ -364,7 +349,7 @@ def _cmd_msmooth(args) -> _Output:
     r = _positive("r", args.r)
     n_max = _positive("n-max", args.n_max)
     stats = m_of_r(r, n_max)
-    rec = _record(r=r, n_max=n_max, m_max=stats.m_max, argmax_n=stats.argmax_n, exceeds_log=stats.exceeds_log)
+    rec = record(r=r, n_max=n_max, m_max=stats.m_max, argmax_n=stats.argmax_n, exceeds_log=stats.exceeds_log)
     side = "exceeds" if stats.exceeds_log else "within"
     human = f"M_{r}(n) over n<={n_max}: max {stats.m_max} at n={stats.argmax_n} ({side} log2(r))"
     return [rec], lambda _: human, lambda: EXIT_OK
@@ -375,7 +360,7 @@ def _cmd_gaps(args) -> _Output:
     probe = gap_probe(n)
     names = {-1: "lt", 0: "eq", 1: "gt"}
     vs20, vs11 = names[probe.gap20_vs_n], names[probe.gap11_vs_n]
-    rec = _record(n=n, next_prime=probe.next_prime, gap=probe.gap, gap20_vs_n=vs20, gap11_vs_n=vs11)
+    rec = record(n=n, next_prime=probe.next_prime, gap=probe.gap, gap20_vs_n=vs20, gap11_vs_n=vs11)
     human = f"next prime after {n} is {probe.next_prime} (gap {probe.gap}; gap**20 {vs20} n, gap**11 {vs11} n)"
     return [rec], lambda _: human, lambda: EXIT_OK
 

@@ -72,3 +72,9 @@ def floor_power(b: int, p: int, q: int) -> int:
     if b < 1 or p < 1 or q < 1:
         raise ValueError("floor_power needs all arguments >= 1")
     return nth_root(b**p, q)
+
+
+def ceil_power(b: int, p: int, q: int) -> int:
+    """Least a >= 1 with a**q >= b**p: for x >= 0, x**q < b**p iff x < a."""
+    a = floor_power(b, p, q)
+    return a + (a**q < b**p)

@@ -21,7 +21,7 @@ from .certify import (
     _check_instance,
     classify,
 )
-from .exact import floor_power, power_compare
+from .exact import ceil_power, floor_power, power_compare
 from .ntheory import U64_LIMIT, is_prime, order2, primes_in, smooth_divisor
 
 TUPLE_SIZE = 6
@@ -91,9 +91,7 @@ def find_tuple(r: int, gcd_exp: tuple[int, int] = GCD_EXP) -> TupleSearch:
 
 
 def _select_tuple(r: int, candidates: list[int], gcd_exp: tuple[int, int]) -> Optional[TupleWitness]:
-    def gcd_ok(p: int, q: int) -> bool:
-        return power_compare(gcd(p - 1, q - 1), r, *gcd_exp) < 0
-
+    gcd_bound = ceil_power(r, *gcd_exp)  # g < r**(num/den) iff g < gcd_bound
     chosen: list[int] = []
 
     def extend(start: int) -> bool:
@@ -101,7 +99,7 @@ def _select_tuple(r: int, candidates: list[int], gcd_exp: tuple[int, int]) -> Op
             return True
         for i in range(start, len(candidates)):
             p = candidates[i]
-            if all(gcd_ok(p, q) for q in chosen):
+            if all(gcd(p - 1, q - 1) < gcd_bound for q in chosen):
                 chosen.append(p)
                 if extend(i + 1):
                     return True
@@ -297,12 +295,14 @@ class GapProbe:
 
 
 def gap_probe(n: int) -> GapProbe:
-    """Least prime above n and the resulting gap."""
-    if n < 1:
-        raise ValueError(f"gap_probe needs n >= 1: got {n}")
-    x = n + 1
-    while not is_prime(x):
-        x += 1
+    """Least prime above n and the resulting gap, for 1 <= n < 2**64.  The
+    walk stays in the domain of is_prime: when (n, 2**64) holds no prime it
+    raises ValueError."""
+    if not 1 <= n < U64_LIMIT:
+        raise ValueError(f"gap_probe needs 1 <= n < 2**64: got {n}")
+    x = next((x for x in range(n + 1, U64_LIMIT) if is_prime(x)), None)
+    if x is None:
+        raise ValueError(f"no prime in ({n}, 2**64)")
     gap = x - n
     return GapProbe(
         n=n,

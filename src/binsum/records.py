@@ -1,20 +1,23 @@
-"""Serialization of classification results to jsonl / csv / human lines.
+"""Records: the one module that turns results into record text and back.
 
-All integers are rendered as decimal strings so downstream consumers never
-lose precision, and json objects are emitted with sorted keys and fixed
-separators so identical runs produce byte-identical files.
+Integers, also inside lists, are written as decimal strings (`record`) so
+consumers never lose precision, and read back only in that form
+(`_decimal`).  A certificate's record is its dataclass fields under its
+`type`.  json objects have sorted keys and fixed separators, so identical
+runs produce byte-identical files.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import asdict, fields
+from typing import Callable, get_args
 
 from .certify import (
     CLASSIFICATION_KINDS,
     Certificate,
     CertifiedNonintegral,
     Classification,
-    DenominatorPrime,
     OrderCertificate,
     SylvesterPrime,
 )
@@ -30,14 +33,13 @@ CSV_COLUMNS = (
 )
 
 
-def certificate_record(cert: Certificate) -> dict[str, str]:
-    if isinstance(cert, SylvesterPrime):
-        return {"type": "sylvester", "p": str(cert.p), "k0": str(cert.k0)}
-    if isinstance(cert, OrderCertificate):
-        return {"type": "order", "p": str(cert.p), "j": str(cert.j)}
-    if isinstance(cert, DenominatorPrime):
-        return {"type": "denominator", "p": str(cert.p)}
-    raise TypeError(f"not a certificate: {cert!r}")
+def record(**values) -> dict:
+    """A record whose ints, also inside sequences, are decimal strings."""
+
+    def text(value):
+        return str(value) if type(value) is int else value
+
+    return {k: [text(x) for x in v] if isinstance(v, (list, tuple)) else text(v) for k, v in values.items()}
 
 
 def _decimal(rec: dict, key: str) -> int:
@@ -48,22 +50,26 @@ def _decimal(rec: dict, key: str) -> int:
     return int(value)
 
 
+_CERTIFICATES = {cls.kind: cls for cls in get_args(Certificate)}
+
+
+def certificate_record(cert: Certificate) -> dict[str, str]:
+    return record(type=cert.kind, **asdict(cert))
+
+
 def certificate_from_record(rec: dict[str, str]) -> Certificate:
     """Inverse of certificate_record, for re-verifying stored results."""
     if not isinstance(rec, dict):
         raise ValueError(f"record certificate={rec!r} is not an object")
     kind = rec.get("type")
-    if kind == "sylvester":
-        return SylvesterPrime(p=_decimal(rec, "p"), k0=_decimal(rec, "k0"))
-    if kind == "order":
-        return OrderCertificate(p=_decimal(rec, "p"), j=_decimal(rec, "j"))
-    if kind == "denominator":
-        return DenominatorPrime(p=_decimal(rec, "p"))
-    raise ValueError(f"unknown certificate type: {kind!r}")
+    cls = _CERTIFICATES.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ValueError(f"unknown certificate type: {kind!r}")
+    return cls(**{f.name: _decimal(rec, f.name) for f in fields(cls)})
 
 
 def classification_record(r: int, n: int, outcome: Classification) -> dict:
-    rec: dict = {"r": str(r), "n": str(n), "classification": outcome.kind}
+    rec = record(r=r, n=n, classification=outcome.kind)
     if isinstance(outcome, CertifiedNonintegral):
         rec["certificate"] = certificate_record(outcome.certificate)
     return rec
@@ -113,6 +119,15 @@ def to_human_line(rec: dict) -> str:
         cert = rec["certificate"]
         return f"(r={rec['r']}, n={rec['n']}) nonintegral [{_DETAILS[cert['type']].format(**cert)}]"
     return f"(r={rec['r']}, n={rec['n']}) INTEGRAL"
+
+
+# The line of one classification in each scan format.  csv fields are digits
+# and lowercase names, which the csv module writes unquoted.
+LINE_FORMATS: dict[str, Callable[[int, int, Classification], str]] = {
+    "jsonl": classification_line,
+    "csv": lambda r, n, outcome: ",".join(to_csv_row(classification_record(r, n, outcome))),
+    "human": lambda r, n, outcome: to_human_line(classification_record(r, n, outcome)),
+}
 
 
 def parse_scan_line(line: str, expected_r: int) -> tuple[int, str]:

@@ -356,6 +356,33 @@ def test_scan_resume_reads_a_large_file_in_bounded_memory(tmp_path, capsys):
     assert path.read_bytes() == prefix + one.read_bytes()
 
 
+_R3_N1 = '{"certificate":{"k0":"1","p":"2","type":"sylvester"},"classification":"certified_nonintegral","n":"1","r":"3"}\n'
+_R3_N2 = '{"certificate":{"k0":"2","p":"5","type":"sylvester"},"classification":"certified_nonintegral","n":"2","r":"3"}\n'
+_R3_N3 = '{"certificate":{"k0":"2","p":"5","type":"sylvester"},"classification":"certified_nonintegral","n":"3","r":"3"}\n'
+
+
+@pytest.mark.parametrize("name, text, n_end, line, n", [
+    ("notes.txt", b"my precious notes, no newline", 5, 1, 1),
+    ("scan.jsonl", (_R3_N1 + _R3_N3[:-1]).encode(), 5, 2, 2),
+    ("scan.jsonl", (_R3_N1 + _R3_N2).encode() + b"\0" * 64, 5, 3, 3),
+    ("scan.jsonl", (_R3_N1 + _R3_N2 + _R3_N3[:20]).encode(), 2, 3, 3),
+], ids=["not-a-scan-file", "record-of-another-n", "nul-tail", "past-end"])
+def test_scan_resume_cuts_only_the_start_of_the_next_record(name, text, n_end, line, n, tmp_path, capsys):
+    # a final line without its newline is cut off only when a killed scan
+    # could have left it; anything else exits 2 and leaves the file as it was
+    path = tmp_path / name
+    path.write_bytes(text)
+    assert run_cli(["scan", "--r", "3", "--n-start", "1", "--n-end", str(n_end), "--out", str(path)]) == 2
+    assert (f"{name}:{line}: a final line without its newline that does not begin the record for n={n} "
+            f"of a scan of [1, {n_end}]; refusing to cut it off") in capsys.readouterr().err
+    assert path.read_bytes() == text
+
+
+def test_the_resume_record_constants_are_what_a_scan_writes(capsys):
+    assert run_cli(["scan", "--r", "3", "--n-start", "1", "--n-end", "3"]) == 0
+    assert capsys.readouterr().out == _R3_N1 + _R3_N2 + _R3_N3
+
+
 @pytest.mark.parametrize("first, second, complaint", [
     ((10, 12), (1, 14), "holds n=10 where n=1 comes next"),   # would append n = 1..9 after 12
     ((1, 5), (20, 22), "holds n=1 where n=20 comes next"),    # would leave the gap 6..19
@@ -617,10 +644,6 @@ def test_scan_resume_refuses_a_malformed_record(field, value, complaint, tmp_pat
     assert run_cli(["scan", "--r", "4", "--n-start", "10", "--n-end", "12", "--out", str(path)]) == 2
     assert complaint in capsys.readouterr().err
     assert path.read_bytes() == before
-
-
-_R3_N1 = '{"certificate":{"k0":"1","p":"2","type":"sylvester"},"classification":"certified_nonintegral","n":"1","r":"3"}\n'
-_R3_N2 = '{"certificate":{"k0":"1","p":"3","type":"sylvester"},"classification":"certified_nonintegral","n":"2","r":"3"}\n'
 
 
 @pytest.mark.parametrize("text, complaint", [

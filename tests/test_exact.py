@@ -1,9 +1,10 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from binsum.exact import floor_power, nth_root, power_compare, valuation
+from binsum.exact import ceil_power, floor_power, nth_root, power_compare, valuation
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 
@@ -76,3 +77,14 @@ def test_fraction_is_canonical_fixpoint():
     x = Fraction(209, 35)
     assert Fraction(x.numerator, x.denominator) == x
     assert Fraction(-6, -4) == Fraction(3, 2) and Fraction(-6, 4).denominator == 2
+
+
+def test_ceil_power_is_the_exact_bound():
+    # x**den < b**num iff x < ceil_power(b, num, den), the bound the witness
+    # search compares each pairwise gcd with
+    rng = random.Random(5)
+    cases = [(rng.randrange(1, 10**rng.randint(1, 20)), rng.randint(1, 30), rng.randint(1, 1000)) for _ in range(300)]
+    cases += [(8, 1, 3), (10**6, 1, 2), (10**6, 1, 10), (10**6, 1, 1000), (2, 1000, 1), (1, 7, 9), (3, 4, 4)]
+    for b, num, den in cases:
+        t = ceil_power(b, num, den)
+        assert t >= 1 and (t - 1) ** den < b**num <= t**den, (b, num, den, t)

@@ -11,6 +11,8 @@ from binsum.experiments import (
     INTERVAL_EXP,
     LCM_EXP,
     ORDER_EXP,
+    TUPLE_SIZE,
+    _select_tuple,
     find_tuple,
     gap_probe,
     m_of_r,
@@ -18,7 +20,7 @@ from binsum.experiments import (
     small_order_census,
     verify_tuple,
 )
-from binsum.ntheory import is_prime, order2, primes_in, smooth_divisor
+from binsum.ntheory import U64_LIMIT, is_prime, order2, primes_in, smooth_divisor
 
 # gcd(p-1, q-1) is even for odd primes, so the default gcd threshold
 # gcd < r**0.001 is vacuous below r = 2**1000; tests that need a witness
@@ -192,6 +194,45 @@ def test_m_of_r_nondecreasing_in_n_max():
         prev = m
 
 
+def reference_primes(r, candidates, gcd_exp):
+    """The six primes the greedy backtracking search picks, deciding each
+    pairwise gcd threshold by its own power comparison."""
+    chosen = []
+
+    def extend(start):
+        if len(chosen) == TUPLE_SIZE:
+            return True
+        for i in range(start, len(candidates)):
+            p = candidates[i]
+            if all(power_compare(gcd(p - 1, q - 1), r, *gcd_exp) < 0 for q in chosen):
+                chosen.append(p)
+                if extend(i + 1):
+                    return True
+                chosen.pop()
+        return False
+
+    return tuple(chosen) if extend(0) else None
+
+
+@pytest.mark.parametrize("r, gcd_exp", [
+    (10**6, GCD_EXP), (10**6, (1, 10)), (10**6, RELAXED), (10, GCD_EXP), (100, GCD_EXP),
+    (10**4, RELAXED), (10**4, (1, 4)), (10**5, (1, 5)), (10**5, (2, 11)),
+    # r**(num/den) an integer, which the gcd must stay below: 100, 2, 8
+    (10**6, (1, 3)), (2**20, (1, 20)), (2**20, (3, 20)),
+])
+def test_tuple_search_matches_a_per_pair_power_compare(r, gcd_exp):
+    # the search compares gcds with one precomputed bound; the reference
+    # compares every pair's gcd power with r's, as verify_tuple does
+    res = find_tuple(r, gcd_exp)
+    lo, hi = res.interval
+    candidates = [p for p in primes_in(lo, hi) if power_compare(order2(p), r, *ORDER_EXP) > 0]
+    expected = reference_primes(r, candidates, gcd_exp)
+    assert (res.witness and res.witness.primes) == expected
+    assert _select_tuple(r, candidates, gcd_exp) == res.witness
+    if expected:
+        assert verify_tuple(res.witness, gcd_exp)
+
+
 def test_m_of_r_rejects_oversized_work():
     with pytest.raises(ValueError):
         m_of_r(10**5, 10**5)
@@ -217,3 +258,18 @@ def test_gap_probe_finds_the_least_prime():
         assert is_prime(probe.next_prime)
         assert probe.next_prime - n == probe.gap
         assert all(not is_prime(x) for x in range(n + 1, probe.next_prime))
+
+
+def test_gap_probe_stays_below_2_to_the_64():
+    # 2**64 - 59 is the largest prime below 2**64: past it the walk would
+    # leave is_prime's domain, so the probe names its own limit
+    top = U64_LIMIT - 59
+    assert is_prime(top)
+    probe = gap_probe(top - 1)
+    assert (probe.next_prime, probe.gap) == (top, 1)
+    for n in (top, U64_LIMIT - 2, U64_LIMIT - 1):
+        with pytest.raises(ValueError, match=rf"no prime in \({n}, 2\*\*64\)"):
+            gap_probe(n)
+    for n in (0, U64_LIMIT):
+        with pytest.raises(ValueError, match="gap_probe needs 1 <= n < 2\\*\\*64"):
+            gap_probe(n)

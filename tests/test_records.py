@@ -1,11 +1,30 @@
 import random
 from collections import Counter
 from pathlib import Path
+from typing import get_args
 
 import pytest
 
-from binsum.certify import CertifiedNonintegral, Integral, classify, denominator_certificate
-from binsum.records import certificate_from_record, classification_line, classification_record, to_json_line
+from binsum.certify import (
+    CERTIFICATE_KINDS,
+    CLASSIFICATION_KINDS,
+    Certificate,
+    CertifiedNonintegral,
+    DenominatorPrime,
+    Integral,
+    OrderCertificate,
+    SylvesterPrime,
+    classify,
+    denominator_certificate,
+)
+from binsum.records import (
+    certificate_from_record,
+    certificate_record,
+    classification_line,
+    classification_record,
+    record,
+    to_json_line,
+)
 
 
 def reference(r, n, outcome):
@@ -42,7 +61,7 @@ def test_template_lines_match_the_encoder_with_huge_r():
     assert assert_lines_match(cases)["sylvester"] == len(cases)
 
 
-def test_oracle_and_undecided_lines_match_the_encoder():
+def test_denominator_and_integral_lines_match_the_encoder():
     # the outcomes without a template: denominator certificates, which
     # classify reaches only when the other two stages fail, and Integral,
     # which no instance checked so far gets
@@ -86,3 +105,37 @@ def test_certificate_from_record_refuses_a_certificate_that_is_not_an_object(val
                                   "n": "1", "r": "3"}) + "\n")
     assert gate.check_scan([str(path)], 3, 1, 1).failures == [
         f"n=1: unreadable certificate: record certificate={value!r} is not an object"]
+
+
+# one instance of every certificate class, with integers past 2**64
+CERTIFICATES = [SylvesterPrime(p=2**64 + 13, k0=7), OrderCertificate(p=11, j=3), DenominatorPrime(p=3)]
+
+
+def test_every_certificate_class_round_trips():
+    assert sorted(type(cert).__name__ for cert in CERTIFICATES) == sorted(cls.__name__ for cls in get_args(Certificate))
+    for cert in CERTIFICATES:
+        rec = certificate_record(cert)
+        assert rec["type"] == cert.kind and all(isinstance(v, str) for v in rec.values())
+        assert certificate_from_record(rec) == cert
+
+
+def test_certificate_records_keep_their_schema():
+    assert [certificate_record(cert) for cert in CERTIFICATES] == [
+        {"type": "sylvester", "p": "18446744073709551629", "k0": "7"},
+        {"type": "order", "p": "11", "j": "3"},
+        {"type": "denominator", "p": "3"},
+    ]
+    assert CERTIFICATE_KINDS == ("sylvester", "order", "denominator")
+    assert CLASSIFICATION_KINDS == ("certified_nonintegral", "integral")
+
+
+@pytest.mark.parametrize("kind", [["order"], {"order": 1}, 5, None, "smooth"],
+                         ids=["list", "dict", "int", "null", "unknown"])
+def test_certificate_from_record_refuses_a_type_it_does_not_know(kind):
+    with pytest.raises(ValueError, match="unknown certificate type"):
+        certificate_from_record({"type": kind, "p": "11", "j": "3"})
+
+
+def test_record_writes_ints_as_decimal_strings():
+    assert record(a=5, b=[1, 2], c=(3,), d=True, e=None, f="x", g={"h": "1"}) == {
+        "a": "5", "b": ["1", "2"], "c": ["3"], "d": True, "e": None, "f": "x", "g": {"h": "1"}}
