@@ -43,12 +43,12 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from math import comb, lcm
 from typing import Optional, Union, get_args
 
 from .exact import _int_valuation
-from .ntheory import U64_LIMIT, _TRIAL_LIMIT, _TRIAL_PRIMES, _factorize, is_prime, primes_upto
+from .ntheory import U64_LIMIT, _TRIAL_LIMIT, _TRIAL_PRIMES, _factorize, is_prime, next_prime, primes_upto
 
 # Cost guard for direct summation; C(n, k) and the lcm of the denominators
 # grow superexponentially in n.
@@ -168,6 +168,10 @@ class DenominatorPrime:
         return 2 <= self.p <= n + r and is_prime(self.p) and _denominator_residue(r, n, self.p) != 0
 
 
+# The frozen certificate for (p, k0), built once for the consecutive n
+# that share it (sylvester_certificate).
+_sylvester_prime = lru_cache(maxsize=1)(SylvesterPrime)
+
 Certificate = Union[SylvesterPrime, OrderCertificate, DenominatorPrime]
 
 
@@ -197,22 +201,33 @@ def sylvester_certificate(r: int, n: int) -> Optional[SylvesterPrime]:
 
     A prime p > n divides at most one of the n consecutive values r+1..r+n,
     and it divides one iff its least multiple >= r + 1 is <= r + n, which
-    needs p <= n + r.  The walk tests q = n+1, n+2, ... with is_prime and
-    returns the first prime with a multiple in the window: every smaller
-    candidate was examined and failed.
+    needs p <= n + r.
 
-    The walk stops at min(n + r, 2n + _TRIAL_LIMIT), so it makes O(n)
-    primality tests even when r is far above n.  The cap is below n + r only
-    when r > n + _TRIAL_LIMIT.  If the walk finds nothing then, a search
-    factors every r + k and takes the smallest prime factor above n, with
-    its k.  That search sees every prime > n dividing the window, so it
-    returns the same minimum as an uncapped walk.  It always finds one, by
-    Sylvester-Schur: for r >= n the product of the n consecutive integers
-    r+1..r+n, all above n, has a prime factor above n.  For the same reason
-    the uncapped walk (r <= n + _TRIAL_LIMIT) returns None only when r < n
-    and (n, n + r] holds no prime.
+    For n >= r the answer is P = next_prime(n) with k0 = P - r when
+    P <= n + r, and None otherwise: P >= n + 1 >= r + 1 is its own least
+    multiple >= r + 1, so it qualifies iff P <= n + r, and every prime above
+    it is larger.  When next_prime(n) is None, (n, 2**64) holds no prime,
+    and n + r < 2**64, so (n, n + r] holds none.  Consecutive n share P,
+    and its certificate object with it.
+
+    For n < r a walk tests q = n+1, n+2, ... with is_prime and returns the
+    first prime with a multiple in the window: every smaller candidate was
+    examined and failed.  It stops at min(n + r, 2n + _TRIAL_LIMIT), so it
+    makes O(n) primality tests even when r is far above n.  For n >= r that
+    cap is n + r, and the walk's first prime in (n, n + r] is P itself with
+    first = P, so the two paths agree wherever both apply.  The cap is below
+    n + r only when r > n + _TRIAL_LIMIT.  If the walk finds nothing then, a
+    search factors every r + k and takes the smallest prime factor above n,
+    with its k.  That search sees every prime > n dividing the window, so
+    it returns the same minimum as an uncapped walk.  It always finds one,
+    by Sylvester-Schur: for r >= n the product of the n consecutive integers
+    r+1..r+n, all above n, has a prime factor above n, so for n < r the
+    result is never None.
     """
     _check_instance(r, n)
+    if n >= r:
+        p = next_prime(n)
+        return None if p is None or p > n + r else _sylvester_prime(p, p - r)
     for q in range(n + 1, min(n + r, 2 * n + _TRIAL_LIMIT) + 1):
         if is_prime(q):
             first = (r + q) // q * q  # least multiple of q that is >= r + 1

@@ -240,18 +240,37 @@ def _resuming(args) -> bool:
     return True
 
 
+# Bytes _load_resume reads of a line before it knows the line ends: more
+# than any scan record, whose four integers are below 2**64 (under 200 bytes).
+_LINE_LIMIT = 1024
+
+
+def _ends_in_newline(handle) -> bool:
+    """Read on to the end of the current line, _LINE_LIMIT bytes at a time:
+    True if it ends in a newline, False if the file ends first."""
+    while chunk := handle.readline(_LINE_LIMIT):
+        if chunk.endswith(b"\n"):
+            return True
+    return False
+
+
 def _load_resume(path: str, r: int, n_start: int, n_end: int) -> tuple[int, int]:
     """Count the records (and the integral ones) already in a jsonl scan
     file, which must hold n = n_start, n_start + 1, ... in order and stop at
     or before n_end: appending then keeps the file sorted and gap-free.  A
     final line without its newline is cut off, so main can append, only if
     it begins the line the scan writes next: the torn tail of a killed run.
-    The file is read one line at a time."""
+    The file is read one line at a time.  Of a final line without its
+    newline only _LINE_LIMIT bytes are kept: a longer one cannot begin a
+    record."""
     done = 0
     integral = 0
     size = 0  # bytes in the complete lines read so far
     with open(path, "rb") as handle:
-        for lineno, line in enumerate(handle, 1):
+        for lineno, line in enumerate(iter(lambda: handle.readline(_LINE_LIMIT), b""), 1):
+            if len(line) == _LINE_LIMIT and not line.endswith(b"\n") and _ends_in_newline(handle):
+                handle.seek(size)  # a complete line too long for a record: parse it whole for its complaint
+                line = handle.readline()
             if not line.endswith(b"\n"):
                 n = n_start + done
                 if n > n_end or not (classification_line(r, n, classify(r, n)) + "\n").encode().startswith(line):

@@ -22,7 +22,7 @@ from .certify import (
     classify,
 )
 from .exact import ceil_power, floor_power, power_compare
-from .ntheory import U64_LIMIT, is_prime, order2, primes_in, smooth_divisor
+from .ntheory import U64_LIMIT, is_prime, next_prime, order2, primes_in, smooth_divisor
 
 TUPLE_SIZE = 6
 LCM_PREFIX = 4  # the lcm bound uses the four smallest primes of the tuple
@@ -295,12 +295,11 @@ class GapProbe:
 
 
 def gap_probe(n: int) -> GapProbe:
-    """Least prime above n and the resulting gap, for 1 <= n < 2**64.  The
-    walk stays in the domain of is_prime: when (n, 2**64) holds no prime it
-    raises ValueError."""
+    """Least prime above n (next_prime) and the resulting gap, for
+    1 <= n < 2**64; raises ValueError when (n, 2**64) holds no prime."""
     if not 1 <= n < U64_LIMIT:
         raise ValueError(f"gap_probe needs 1 <= n < 2**64: got {n}")
-    x = next((x for x in range(n + 1, U64_LIMIT) if is_prime(x)), None)
+    x = next_prime(n)
     if x is None:
         raise ValueError(f"no prime in ({n}, 2**64)")
     gap = x - n

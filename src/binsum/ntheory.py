@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from functools import lru_cache
+from typing import Optional
 
 U64_LIMIT = 1 << 64
 
@@ -64,13 +65,14 @@ def is_prime(m: int) -> bool:
     test would give, whatever was asked before; a call that raises is not
     cached and raises again.  Correctness never depends on the cache.
 
-    The cache serves the sylvester walk over consecutive n.  For n >= r it
-    tests n+1, n+2, ... up to the first prime above n or up to n + r:
-    min(r, g(n)) integers, with g(n) the gap from n to the next prime.  The
-    walk for n + 1 repeats the one for n but for its first integer, so a
-    scan tests each integer once while the cache holds a whole walk; an LRU
-    cache shorter than the walk misses on every integer of it.  No prime
-    gap below 2**64 exceeds 1550, so 2048 entries hold every such walk.
+    The cache serves the sylvester walk for n < r (for n >= r it takes
+    next_prime, which tests each integer of a scan once by itself).  That
+    walk tests n+1, n+2, ... up to the first prime with a multiple in
+    [r + 1, r + n], and the walk for n + 1 repeats the one for n but for its
+    first integer, so a scan tests each integer once while the cache holds
+    a whole walk; an LRU cache shorter than the walk misses on every integer
+    of it.  A walk covers at most n + _TRIAL_LIMIT integers, so 2048
+    entries hold every walk with n <= 1048.
 
     Miller-Rabin runs only on m >= 10**6 with no prime factor below
     _TRIAL_LIMIT = 1000.  The tiny primes go first, one remainder each,
@@ -108,6 +110,34 @@ def is_prime(m: int) -> bool:
         else:
             return False
     return True
+
+
+# next_prime's memo (n0, P): P is prime and (n0, P) holds no prime.
+_next_prime_memo = (0, 2)
+
+
+def next_prime(n: int) -> Optional[int]:
+    """Least prime above n, for 0 <= n < 2**64; None when (n, 2**64) holds
+    no prime (n >= 2**64 - 59, the largest prime below 2**64).
+
+    The memo (n0, P) answers every n with n0 <= n < P at once: P is prime
+    and no prime lies in (n0, P), so none lies in (n, P) either.  Any other
+    n walks n+1, n+2, ... with is_prime and, on finding P', stores (n, P').
+    A scan over increasing n thus tests each integer once: at n = P it
+    walks on from P + 1, which no earlier walk reached.  The answer depends
+    on n alone, whatever was asked before.
+    """
+    global _next_prime_memo
+    n0, p = _next_prime_memo
+    if n0 <= n < p:
+        return p
+    if not 0 <= n < U64_LIMIT:
+        raise ValueError(f"next_prime domain is [0, 2**64): got {n}")
+    for m in range(n + 1, U64_LIMIT):
+        if is_prime(m):
+            _next_prime_memo = (n, m)
+            return m
+    return None
 
 
 def _brent_rho(m: int, c: int) -> int:

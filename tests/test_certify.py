@@ -1,6 +1,8 @@
+import itertools
 import math
 import random
 import signal
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -22,7 +24,7 @@ from binsum.certify import (
 )
 from binsum import certify, ntheory
 from binsum.exact import valuation
-from binsum.ntheory import _TRIAL_LIMIT, factorize, is_prime, order2, primes_upto
+from binsum.ntheory import U64_LIMIT, _TRIAL_LIMIT, factorize, is_prime, order2, primes_upto
 
 
 def test_s_lower_examples():
@@ -309,26 +311,82 @@ def test_classify_deterministic():
     assert classify(7, 60) == classify(7, 60)
 
 
-def test_scan_at_2_62_tests_each_integer_once():
-    # the walk for n + 1 repeats the one for n minus its first integer, so
-    # a scan misses the primality cache at most once per integer it reaches
-    n0 = 2**62
-    is_prime.cache_clear()
-    outcomes = [classify(7, n) for n in range(n0, n0 + 2048)]
+def test_scan_at_2_62_tests_each_integer_once(monkeypatch):
+    # the next-prime pointer walks each integer once: every integer from n0
+    # up to the next prime after the window, none twice and none past it
+    n0, width = 2**62, 2048
+    tested = Counter()
+
+    def counting_is_prime(m):
+        tested[m] += 1
+        return is_prime(m)
+
+    monkeypatch.setattr(ntheory, "is_prime", counting_is_prime)
+    monkeypatch.setattr(ntheory, "_next_prime_memo", (0, 2))
+    outcomes = [classify(7, n) for n in range(n0, n0 + width)]
     # no order search here falls back to factoring, which tests other integers
     assert all(o.certificate.kind == "sylvester" or o.certificate.p < _TRIAL_LIMIT for o in outcomes)
-    assert is_prime.cache_info().misses <= 2048 + 7
+    last = next(m for m in itertools.count(n0 + width) if is_prime(m))
+    assert max(tested.values()) == 1
+    assert sorted(tested) == list(range(n0 + 1, last + 1))
 
 
 def test_long_walks_stay_cached_and_match_the_uncached_walk(monkeypatch):
     p = 1693182318746371  # prime; the next prime is p + 1132
     window = range(p, p + 64)
     is_prime.cache_clear()
+    monkeypatch.setattr(ntheory, "_next_prime_memo", (0, 2))
     cached = [classify(1200, n) for n in window]
-    assert is_prime.cache_info().misses <= 1132 + 64 + 8
-    monkeypatch.setattr(certify, "is_prime", is_prime.__wrapped__)
+    assert is_prime.cache_info().misses == 1132  # one walk serves the window
+    monkeypatch.setattr(ntheory, "is_prime", is_prime.__wrapped__)
+    monkeypatch.setattr(ntheory, "_next_prime_memo", (0, 2))
     assert [classify(1200, n) for n in window] == cached
     assert {o.certificate.p for o in cached} == {p + 1132}
+
+
+def walk_sylvester_certificate(r, n):
+    """The search sylvester_certificate made for every n before it took
+    next_prime for n >= r: the capped walk, then the factoring search."""
+    for q in range(n + 1, min(n + r, 2 * n + _TRIAL_LIMIT) + 1):
+        if is_prime(q):
+            first = (r + q) // q * q
+            if first <= r + n:
+                return SylvesterPrime(p=q, k0=first - r)
+    if r <= n + _TRIAL_LIMIT:
+        return None
+    p, v = min((q, v) for v in range(r + 1, r + n + 1) for q, _ in factorize(v) if q > n)
+    return SylvesterPrime(p=p, k0=v - r)
+
+
+def sylvester_scans():
+    """(r, ns): runs of consecutive n in the order a scan takes them."""
+    for r in (1, 2, 7, 23, 60, 1200):  # n = r, the first n the pointer takes
+        yield r, range(max(1, r - 5), r + 40)
+    rng = random.Random(19)
+    for band in (10**6, 10**12, 2**62):
+        for r in (1, 7, 23, 60):
+            lo = band + rng.randrange(10**9)
+            yield r, range(lo, lo + 300)
+    # the 1132-long gap after p: r below, at and above the gap, across it
+    p = 1693182318746371
+    for r in (1, 600, 1131, 1132, 1133, 1200):
+        yield r, range(p - 3, p + 1140)
+    # the top of the domain: no prime lies in (2**64 - 59, 2**64)
+    for r in (1, 7, 58, 59, 60, 200):
+        yield r, range(U64_LIMIT - 300, U64_LIMIT - r)
+
+
+def test_sylvester_pointer_matches_the_walk():
+    for r, ns in sylvester_scans():
+        certs = [sylvester_certificate(r, n) for n in ns]
+        assert certs == [walk_sylvester_certificate(r, n) for n in ns], (r, ns)
+        # consecutive n >= r that share a certificate share its object
+        pointer = [c for n, c in zip(ns, certs) if n >= r and c is not None]
+        assert all(a is b for a, b in zip(pointer, pointer[1:]) if a == b)
+    # any query order gives the same answers
+    p = 1693182318746371
+    ns = [p + 1131, p - 2, p + 5, p + 1132, p, p + 1131, 2**62, p + 40]
+    assert [sylvester_certificate(1200, n) for n in ns] == [walk_sylvester_certificate(1200, n) for n in ns]
 
 
 def test_classify_does_not_depend_on_cache_history():

@@ -4,13 +4,15 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
+from typing import get_args
 
 import pytest
 
-from binsum.certify import Integral, classify
-from binsum.cli import main
-from binsum.records import certificate_from_record, parse_scan_line
+from binsum.certify import Certificate, CertifiedNonintegral, Integral, classify
+from binsum.cli import _LINE_LIMIT, main
+from binsum.records import certificate_from_record, classification_line, parse_scan_line
 
 
 def run_cli(args):
@@ -354,6 +356,34 @@ def test_scan_resume_reads_a_large_file_in_bounded_memory(tmp_path, capsys):
     assert f"big.jsonl:{count + 1}: dropping a torn final line" in capsys.readouterr().err
     assert peak < size / 4
     assert path.read_bytes() == prefix + one.read_bytes()
+
+
+def test_scan_resume_reads_a_long_final_line_in_bounded_memory(tmp_path, capsys):
+    # a final line without its newline longer than any record cannot begin
+    # one: it is refused after reading it _LINE_LIMIT bytes at a time
+    import tracemalloc
+
+    path = tmp_path / "big.txt"
+    text = b"x" * (20 * 2**20)
+    path.write_bytes(text)
+    tracemalloc.start()
+    try:
+        code = run_cli(["scan", "--r", "3", "--n-start", "1", "--n-end", "2", "--out", str(path)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert ("big.txt:1: a final line without its newline that does not begin the record for n=1 "
+            "of a scan of [1, 2]; refusing to cut it off") in capsys.readouterr().err
+    assert peak < 2**20
+    assert path.read_bytes() == text
+
+
+def test_every_scan_record_fits_the_resume_read_limit():
+    top = 2**64 - 1
+    outcomes = [CertifiedNonintegral(cls(*(top,) * len(fields(cls)))) for cls in get_args(Certificate)]
+    for outcome in outcomes + [Integral()]:
+        assert len(classification_line(top, top, outcome) + "\n") < _LINE_LIMIT
 
 
 _R3_N1 = '{"certificate":{"k0":"1","p":"2","type":"sylvester"},"classification":"certified_nonintegral","n":"1","r":"3"}\n'

@@ -1,3 +1,4 @@
+import bisect
 import math
 import random
 
@@ -10,6 +11,7 @@ from binsum.ntheory import (
     U64_LIMIT,
     factorize,
     is_prime,
+    next_prime,
     order2,
     primes_in,
     primes_upto,
@@ -231,6 +233,46 @@ def test_primes_in_matches_a_plain_sieve(n):
     for width in (0, 1, 6, 24, 178, 1470, 12499, 25000):
         a, b = n + 1, n + 1 + width
         assert primes_in(a, b) == plain_primes_in(a, b), (n, width)
+
+
+def sieved_next_primes(a, b):
+    """{n: least prime above n} for a <= n < b.  Below 2**44 from a plain
+    sieve; at 2**62 its base primes would run to 2**31, so there from is_prime
+    (pinned by the tests above).  No prime gap below 2**64 exceeds 1550."""
+    top = b + 1550
+    primes = plain_primes_in(a + 1, top) if top < 2**44 else [m for m in range(a + 1, top + 1) if is_prime(m)]
+    return {n: primes[bisect.bisect_right(primes, n)] for n in range(a, b)}
+
+
+_QUERY_ORDERS = {
+    "increasing": lambda ns: ns,
+    "decreasing": lambda ns: ns[::-1],
+    "jumping": lambda ns: ns[::97] + ns[5::211],  # steps past the memo's prime
+    "repeated": lambda ns: [n for n in ns[:300] for _ in range(3)] + ns[:300],
+    "shuffled": lambda ns: random.Random(len(ns)).sample(ns, len(ns)),
+}
+
+
+@pytest.mark.parametrize("band", [1, 10**6, 10**12, 2**62])
+def test_next_prime_matches_a_plain_sieve_in_any_query_order(band, monkeypatch):
+    expected = sieved_next_primes(band, band + 3000)
+    ns = list(expected)
+    for order, arrange in _QUERY_ORDERS.items():
+        monkeypatch.setattr(ntheory, "_next_prime_memo", (0, 2))
+        queries = arrange(ns)
+        assert [next_prime(n) for n in queries] == [expected[n] for n in queries], order
+
+
+def test_next_prime_at_the_ends_of_its_domain():
+    top = U64_LIMIT - 59  # the largest prime below 2**64
+    assert [next_prime(n) for n in (0, 1, 2, 3)] == [2, 2, 3, 5]
+    assert next_prime(U64_LIMIT - 60) == top
+    for n in (top, top + 1, U64_LIMIT - 2, U64_LIMIT - 1):
+        assert next_prime(n) is None
+    assert next_prime(U64_LIMIT - 60) == top and next_prime(top - 1) == top
+    for n in (-1, U64_LIMIT):
+        with pytest.raises(ValueError, match="next_prime domain"):
+            next_prime(n)
 
 
 def test_primes_in_refuses_windows_past_its_root_bound(monkeypatch):
