@@ -3,9 +3,7 @@ evaluation, nonintegrality certificates, and supporting experiments."""
 
 from .certify import (
     CERTIFICATE_KINDS,
-    CLASSIFICATION_KINDS,
     Certificate,
-    CertifiedNonintegral,
     Classification,
     DenominatorPrime,
     Integral,
@@ -41,6 +39,7 @@ from .ntheory import (
     primes_in,
     smooth_divisor,
 )
+from .records import CLASSIFICATION_KINDS
 
 __version__ = "0.1.0"
 
@@ -48,7 +47,6 @@ __all__ = [
     "CERTIFICATE_KINDS",
     "CLASSIFICATION_KINDS",
     "Certificate",
-    "CertifiedNonintegral",
     "Classification",
     "DenominatorPrime",
     "GapProbe",

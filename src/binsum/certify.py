@@ -29,7 +29,8 @@ since the two differ by the integer 2**n):
   reduced denominator iff the other terms sum to a nonzero residue mod p**a.
 
 classify() tries the three in that order, the last over the primes p <= r,
-and they find a prime of every reduced denominator, so Integral is a proof,
+and returns the first certificate found, or Integral() when there is none.
+They find a prime of every reduced denominator, so Integral is a proof,
 not a budget verdict.  Proof for a prime p > r dividing some m_j: as above,
 v_p(s_upper) = v_p(2**m_j - 1) - v_p(m_j).  For p = 2 (r = 1) 2**m_j - 1 is
 odd.  For odd p with ord = order2(p) dividing m_j, lifting the exponent
@@ -176,21 +177,14 @@ Certificate = Union[SylvesterPrime, OrderCertificate, DenominatorPrime]
 
 
 @dataclass(frozen=True)
-class CertifiedNonintegral:
-    certificate: Certificate
-    kind = "certified_nonintegral"
-
-
-@dataclass(frozen=True)
 class Integral:
-    """No certificate exists, which proves s_lower(r, n) an integer."""
+    """What classify returns when no certificate exists, which proves
+    s_lower(r, n) an integer."""
 
     kind = "integral"
 
 
-Classification = Union[CertifiedNonintegral, Integral]
-
-CLASSIFICATION_KINDS = tuple(cls.kind for cls in get_args(Classification))
+Classification = Union[Certificate, Integral]
 
 CERTIFICATE_KINDS = tuple(cls.kind for cls in get_args(Certificate))
 
@@ -305,11 +299,11 @@ def denominator_certificate(r: int, n: int) -> Optional[DenominatorPrime]:
 def classify(r: int, n: int) -> Classification:
     """Decide whether s_lower(r, n) is an integer, without evaluating it.
 
-    Certificates are tried in a fixed order (sylvester, order, then
-    denominator) and the first hit wins.  Together they find a prime of
-    every reduced denominator (module docstring), so when none exists the
-    sum is an integer and the outcome is Integral.
+    Returns the first certificate found, a SylvesterPrime, OrderCertificate
+    or DenominatorPrime, which proves the sum nonintegral; or Integral()
+    when none exists.  The stages are tried in that order.  Together they
+    find a prime of every reduced denominator (module docstring), so
+    Integral proves the sum an integer.  sylvester_certificate, always
+    called first, checks the instance.
     """
-    _check_instance(r, n)
-    cert = sylvester_certificate(r, n) or order_certificate(r, n) or denominator_certificate(r, n)
-    return Integral() if cert is None else CertifiedNonintegral(certificate=cert)
+    return sylvester_certificate(r, n) or order_certificate(r, n) or denominator_certificate(r, n) or Integral()

@@ -51,6 +51,7 @@ from .experiments import (
 from .records import (
     CSV_COLUMNS,
     LINE_FORMATS,
+    classification_kind,
     classification_line,
     parse_scan_line,
     record,
@@ -227,7 +228,7 @@ def _classify_chunk(task: tuple[int, range, str]) -> tuple[Counter, str]:
     r, ns, fmt = task
     line = LINE_FORMATS[fmt]
     outcomes = [(n, classify(r, n)) for n in ns]
-    counts = Counter(outcome.kind for _, outcome in outcomes)
+    counts = Counter(classification_kind(outcome) for _, outcome in outcomes)
     return counts, "".join(line(r, n, outcome) + "\n" for n, outcome in outcomes)
 
 

@@ -14,15 +14,10 @@ from dataclasses import dataclass, field
 from math import gcd, lcm
 from typing import Optional
 
-from .certify import (
-    CERTIFICATE_KINDS,
-    CLASSIFICATION_KINDS,
-    CertifiedNonintegral,
-    _check_instance,
-    classify,
-)
+from .certify import CERTIFICATE_KINDS, Integral, _check_instance, classify
 from .exact import ceil_power, floor_power, power_compare
 from .ntheory import U64_LIMIT, is_prime, next_prime, order2, primes_in, smooth_divisor
+from .records import CLASSIFICATION_KINDS, classification_kind
 
 TUPLE_SIZE = 6
 LCM_PREFIX = 4  # the lcm bound uses the four smallest primes of the tuple
@@ -212,11 +207,11 @@ def scan_density(r: int, n_lo: int, n_hi: int) -> ScanReport:
     integral: list[int] = []
     for n in range(n_lo, n_hi + 1):
         outcome = classify(r, n)
-        counts[outcome.kind] += 1
-        if isinstance(outcome, CertifiedNonintegral):
-            cert_counts[outcome.certificate.kind] += 1
-        else:
+        counts[classification_kind(outcome)] += 1
+        if isinstance(outcome, Integral):
             integral.append(n)
+        else:
+            cert_counts[outcome.kind] += 1
     return ScanReport(
         r=r,
         n_lo=n_lo,

@@ -3,8 +3,9 @@
 Integers, also inside lists, are written as decimal strings (`record`) so
 consumers never lose precision, and read back only in that form
 (`_decimal`).  A certificate's record is its dataclass fields under its
-`type`.  json objects have sorted keys and fixed separators, so identical
-runs produce byte-identical files.
+`type`, and the record of classify's outcome names it "certified_nonintegral"
+or "integral" (`classification_kind`).  json objects have sorted keys and
+fixed separators, so identical runs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -13,14 +14,7 @@ import json
 from dataclasses import asdict, fields
 from typing import Callable, get_args
 
-from .certify import (
-    CLASSIFICATION_KINDS,
-    Certificate,
-    CertifiedNonintegral,
-    Classification,
-    OrderCertificate,
-    SylvesterPrime,
-)
+from .certify import Certificate, Classification, Integral, OrderCertificate, SylvesterPrime
 
 CSV_COLUMNS = (
     "r",
@@ -68,10 +62,19 @@ def certificate_from_record(rec: dict[str, str]) -> Certificate:
     return cls(**{f.name: _decimal(rec, f.name) for f in fields(cls)})
 
 
+CLASSIFICATION_KINDS = ("certified_nonintegral", "integral")
+
+
+def classification_kind(outcome: Classification) -> str:
+    """The classification a record gives classify's outcome: a certificate
+    proves the sum nonintegral."""
+    return "integral" if type(outcome) is Integral else "certified_nonintegral"
+
+
 def classification_record(r: int, n: int, outcome: Classification) -> dict:
-    rec = record(r=r, n=n, classification=outcome.kind)
-    if isinstance(outcome, CertifiedNonintegral):
-        rec["certificate"] = certificate_record(outcome.certificate)
+    rec = record(r=r, n=n, classification=classification_kind(outcome))
+    if type(outcome) is not Integral:
+        rec["certificate"] = certificate_record(outcome)
     return rec
 
 
@@ -93,12 +96,10 @@ def classification_line(r: int, n: int, outcome: Classification) -> str:
     byte to_json_line(classification_record(r, n, outcome)).  A sylvester
     or order outcome fills a fixed template; the rare others take the
     general path."""
-    if type(outcome) is CertifiedNonintegral:
-        cert = outcome.certificate
-        if type(cert) is SylvesterPrime:
-            return _SYLVESTER_LINE % (cert.k0, cert.p, n, r)
-        if type(cert) is OrderCertificate:
-            return _ORDER_LINE % (cert.j, cert.p, n, r)
+    if type(outcome) is SylvesterPrime:
+        return _SYLVESTER_LINE % (outcome.k0, outcome.p, n, r)
+    if type(outcome) is OrderCertificate:
+        return _ORDER_LINE % (outcome.j, outcome.p, n, r)
     return to_json_line(classification_record(r, n, outcome))
 
 
@@ -134,8 +135,9 @@ def parse_scan_line(line: str, expected_r: int) -> tuple[int, str]:
     """Validate one stored jsonl scan line; return its (n, classification).
 
     Raises ValueError when the line does not look like a scan record for
-    this r (schema check before resuming), or when it is not the exact
-    bytes to_json_line writes for its record (padding, key order, spacing):
+    this r (schema check before resuming), when its certificate does not
+    decode, or when it is not the exact bytes classification_line writes
+    for its outcome (padding, key order, spacing, missing or extra keys):
     a resumed file must equal a one-shot scan byte for byte.
     """
     if not line.strip():
@@ -152,8 +154,10 @@ def parse_scan_line(line: str, expected_r: int) -> tuple[int, str]:
     if rec["r"] != str(expected_r):
         raise ValueError(f"record r={rec['r']!r} does not match scan r={str(expected_r)!r}")
     n = _decimal(rec, "n")
-    if rec["classification"] not in CLASSIFICATION_KINDS:
-        raise ValueError(f"unknown classification {rec['classification']!r}")
-    if line.removesuffix("\n") != to_json_line(rec):
+    kind = rec["classification"]
+    if kind not in CLASSIFICATION_KINDS:
+        raise ValueError(f"unknown classification {kind!r}")
+    outcome = Integral() if kind == "integral" else certificate_from_record(rec.get("certificate"))
+    if line.removesuffix("\n") != classification_line(expected_r, n, outcome):
         raise ValueError("record is not in the canonical form a scan writes")
-    return n, rec["classification"]
+    return n, kind

@@ -19,7 +19,7 @@ from itertools import combinations
 from math import gcd
 
 from binsum.certify import (
-    CertifiedNonintegral,
+    Integral,
     classify,
     s_lower,
     s_upper,
@@ -71,7 +71,7 @@ def test_c2_proved_range_sweep(monkeypatch):
     integral = []
     for r in range(1, 23):
         for n in range(1, 1501):
-            if not isinstance(classify(r, n), CertifiedNonintegral):
+            if isinstance(classify(r, n), Integral):
                 integral.append((r, n))
     assert report(2, not integral, f"r<=22, n<=1500 sweep: {len(integral)} integral, none evaluated")
 
@@ -82,9 +82,8 @@ def test_c3_certificate_soundness():
     for _ in range(500):
         r = rng.randrange(1, 51)
         n = rng.randrange(1, 801)
-        outcome = classify(r, n)
-        if isinstance(outcome, CertifiedNonintegral):
-            cert = outcome.certificate
+        cert = classify(r, n)
+        if not isinstance(cert, Integral):
             if not cert.verify(r, n) or s_lower(r, n).denominator == 1:
                 failures += 1
     assert report(3, failures == 0, f"500 random certificates (r<=50, n<=800): {failures} unsound")

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 from binsum.certify import (
     ORACLE_CUTOFF,
-    CertifiedNonintegral,
     DenominatorPrime,
     OrderCertificate,
     SylvesterPrime,
@@ -67,10 +66,11 @@ def test_cutoffs_are_enforced():
 
 
 def test_instance_validation():
-    with pytest.raises(ValueError):
-        classify(0, 5)
-    with pytest.raises(ValueError):
-        classify(5, 0)
+    # classify leaves the check to sylvester_certificate, its first stage
+    for search in (classify, sylvester_certificate, order_certificate, denominator_certificate):
+        for r, n in [(0, 5), (5, 0), (1, 2**64 - 1), (2**63, 2**63)]:
+            with pytest.raises(ValueError):
+                search(r, n)
     with pytest.raises(ValueError):
         s_lower(0, 5)
 
@@ -165,8 +165,8 @@ def test_sylvester_tiny_n_huge_r_returns_at_once(r):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
-    assert outcome.certificate == SylvesterPrime(p=r + 1, k0=1)
-    assert outcome.certificate.verify(r, 1)
+    assert outcome == SylvesterPrime(p=r + 1, k0=1)
+    assert outcome.verify(r, 1)
 
 
 def test_sylvester_always_exists_for_r_at_least_n():
@@ -267,8 +267,8 @@ def test_order_search_needs_no_factorization_of_p_minus_1(monkeypatch):
         monkeypatch.setattr(module, "_factorize", refuse)
     n = 10**12 + 109815
     outcome = classify(7, n)
-    assert outcome.certificate == OrderCertificate(p=41, j=6)
-    assert outcome.certificate.verify(7, n)
+    assert outcome == OrderCertificate(p=41, j=6)
+    assert outcome.verify(7, n)
 
 
 def test_order_verify_rejects_forgeries():
@@ -280,16 +280,14 @@ def test_order_verify_rejects_forgeries():
 
 
 def test_classify_prefers_sylvester():
-    outcome = classify(3, 4)
-    assert isinstance(outcome, CertifiedNonintegral)
-    assert outcome.certificate == SylvesterPrime(p=5, k0=2)
+    assert classify(3, 4) == SylvesterPrime(p=5, k0=2)
 
 
 def test_classify_oracle_fallback():
     # the r = 1 instances the exact evaluation used to decide: n + 1 is even
     for n in (5, 7):
         outcome = classify(1, n)
-        assert outcome.certificate == OrderCertificate(p=2, j=1) and outcome.certificate.verify(1, n)
+        assert outcome == OrderCertificate(p=2, j=1) and outcome.verify(1, n)
 
 
 def test_classify_undecided_past_cutoff():
@@ -297,18 +295,24 @@ def test_classify_undecided_past_cutoff():
     # 2, which decides both, below and above the old evaluation cutoff 3000
     for n in (2047, 4095):
         outcome = classify(1, n)
-        assert outcome.certificate == OrderCertificate(p=2, j=1) and outcome.certificate.verify(1, n)
+        assert outcome == OrderCertificate(p=2, j=1) and outcome.verify(1, n)
 
 
 def test_r_1_is_certified_for_every_n_below_10_to_the_5():
     # n + 1 prime: sylvester; n + 1 even: p = 2; otherwise the smallest prime
     # p of n + 1 has gcd(n + 1, p - 1) = 1, so order2(p) does not divide n + 1
-    kinds = {classify(1, n).certificate.kind for n in range(1, 10**5)}
+    kinds = {classify(1, n).kind for n in range(1, 10**5)}
     assert kinds == {"sylvester", "order"}
 
 
 def test_classify_deterministic():
     assert classify(7, 60) == classify(7, 60)
+
+
+def test_consecutive_n_share_one_outcome():
+    # next_prime(8) = next_prime(9) = 11 <= n + 3: one SylvesterPrime(11, 8)
+    assert classify(3, 8) is classify(3, 9)
+    assert classify(3, 9) == SylvesterPrime(p=11, k0=8)
 
 
 def test_scan_at_2_62_tests_each_integer_once(monkeypatch):
@@ -325,7 +329,7 @@ def test_scan_at_2_62_tests_each_integer_once(monkeypatch):
     monkeypatch.setattr(ntheory, "_next_prime_memo", (0, 2))
     outcomes = [classify(7, n) for n in range(n0, n0 + width)]
     # no order search here falls back to factoring, which tests other integers
-    assert all(o.certificate.kind == "sylvester" or o.certificate.p < _TRIAL_LIMIT for o in outcomes)
+    assert all(o.kind == "sylvester" or o.p < _TRIAL_LIMIT for o in outcomes)
     last = next(m for m in itertools.count(n0 + width) if is_prime(m))
     assert max(tested.values()) == 1
     assert sorted(tested) == list(range(n0 + 1, last + 1))
@@ -341,7 +345,7 @@ def test_long_walks_stay_cached_and_match_the_uncached_walk(monkeypatch):
     monkeypatch.setattr(ntheory, "is_prime", is_prime.__wrapped__)
     monkeypatch.setattr(ntheory, "_next_prime_memo", (0, 2))
     assert [classify(1200, n) for n in window] == cached
-    assert {o.certificate.p for o in cached} == {p + 1132}
+    assert {o.p for o in cached} == {p + 1132}
 
 
 def walk_sylvester_certificate(r, n):

@@ -10,7 +10,7 @@ from typing import get_args
 
 import pytest
 
-from binsum.certify import Certificate, CertifiedNonintegral, Integral, classify
+from binsum.certify import Certificate, Integral, classify
 from binsum.cli import _LINE_LIMIT, main
 from binsum.records import certificate_from_record, classification_line, parse_scan_line
 
@@ -381,7 +381,7 @@ def test_scan_resume_reads_a_long_final_line_in_bounded_memory(tmp_path, capsys)
 
 def test_every_scan_record_fits_the_resume_read_limit():
     top = 2**64 - 1
-    outcomes = [CertifiedNonintegral(cls(*(top,) * len(fields(cls)))) for cls in get_args(Certificate)]
+    outcomes = [cls(*(top,) * len(fields(cls))) for cls in get_args(Certificate)]
     for outcome in outcomes + [Integral()]:
         assert len(classification_line(top, top, outcome) + "\n") < _LINE_LIMIT
 
@@ -431,6 +431,22 @@ def test_scan_resume_refuses_a_file_that_is_not_a_prefix(first, second, complain
     assert scan(*second) == 2
     assert complaint in capsys.readouterr().err
     assert path.read_bytes() == before
+
+
+@pytest.mark.parametrize("text, complaint", [
+    ('{"classification":"certified_nonintegral","n":"1","r":"3"}', "record certificate=None is not an object"),
+    (_R3_N1.replace('"n":', '"junk":"x","n":')[:-1], "record is not in the canonical form a scan writes"),
+    (_R3_N1.replace("certified_nonintegral", "integral")[:-1], "record is not in the canonical form a scan writes"),
+    (_R3_N1.replace('"sylvester"', '"smooth"')[:-1], "unknown certificate type: 'smooth'"),
+    (_R3_N1.replace('"p":"2"', '"p":"2.0"')[:-1], "record p='2.0' is not a decimal string"),
+], ids=["missing-certificate", "extra-key", "integral-with-certificate", "unknown-certificate-type",
+        "non-decimal-p"])
+def test_scan_resume_refuses_a_record_no_scan_writes(text, complaint, tmp_path, capsys):
+    path = tmp_path / "scan.jsonl"
+    path.write_text(text + "\n")
+    assert run_cli(["scan", "--r", "3", "--n-start", "1", "--n-end", "2", "--out", str(path)]) == 2
+    assert f"scan.jsonl:1: not a scan record for r=3: {complaint}" in capsys.readouterr().err
+    assert path.read_text() == text + "\n"
 
 
 def test_scan_planning_memory_is_bounded():
@@ -591,8 +607,7 @@ def test_the_oracle_budget_is_not_a_flag(command, capsys):
     (3, 4, "sylvester"), (7, 10**12 + 109815, "order"), (1, 3, "order"), (1, 3023, "order"),
 ])
 def test_certify_prints_what_a_one_n_scan_prints(r, n, kind, fmt, capsys):
-    outcome = classify(r, n)
-    assert (outcome.certificate.kind if outcome.kind == "certified_nonintegral" else outcome.kind) == kind
+    assert classify(r, n).kind == kind
     code = run_cli(["certify", "--r", str(r), "--n", str(n), "--format", fmt])
     certified = capsys.readouterr().out
     assert run_cli(["scan", "--r", str(r), "--n-start", str(n), "--n-end", str(n), "--threads", "1",

@@ -298,5 +298,5 @@ def test_classify_at_1e12_builds_no_base_primes(monkeypatch):
     a = 10**12
     # (a + 1, a + 8] holds no prime, so both certificate searches run, on
     # the trial primes built at import
-    assert classify(7, a + 1).certificate == OrderCertificate(p=17, j=3)
+    assert classify(7, a + 1) == OrderCertificate(p=17, j=3)
     assert calls == []

@@ -7,9 +7,8 @@ import pytest
 
 from binsum.certify import (
     CERTIFICATE_KINDS,
-    CLASSIFICATION_KINDS,
     Certificate,
-    CertifiedNonintegral,
+    Classification,
     DenominatorPrime,
     Integral,
     OrderCertificate,
@@ -18,8 +17,10 @@ from binsum.certify import (
     denominator_certificate,
 )
 from binsum.records import (
+    CLASSIFICATION_KINDS,
     certificate_from_record,
     certificate_record,
+    classification_kind,
     classification_line,
     classification_record,
     record,
@@ -33,12 +34,11 @@ def reference(r, n, outcome):
 
 def assert_lines_match(cases):
     """classification_line equals the general encoder on every case; returns
-    the kinds seen (the certificate type for certified outcomes)."""
+    the kinds seen (the certificate type, or "integral")."""
     seen = Counter()
     for r, n, outcome in cases:
         assert classification_line(r, n, outcome) == reference(r, n, outcome), (r, n, outcome)
-        kind = outcome.kind
-        seen[outcome.certificate.kind if kind == "certified_nonintegral" else kind] += 1
+        seen[outcome.kind] += 1
     return seen
 
 
@@ -65,7 +65,7 @@ def test_denominator_and_integral_lines_match_the_encoder():
     # the outcomes without a template: denominator certificates, which
     # classify reaches only when the other two stages fail, and Integral,
     # which no instance checked so far gets
-    cases = [(r, n, CertifiedNonintegral(cert)) for r in range(2, 40) for n in range(1, 60)
+    cases = [(r, n, cert) for r in range(2, 40) for n in range(1, 60)
              if (cert := denominator_certificate(r, n)) is not None]
     cases.append((1, 3, Integral()))
     seen = assert_lines_match(cases)
@@ -127,6 +127,21 @@ def test_certificate_records_keep_their_schema():
     ]
     assert CERTIFICATE_KINDS == ("sylvester", "order", "denominator")
     assert CLASSIFICATION_KINDS == ("certified_nonintegral", "integral")
+
+
+def test_classification_records_name_the_outcome_class():
+    # classify returns the certificate itself or Integral(); the record
+    # layer alone maps either to its classification
+    outcomes = CERTIFICATES + [Integral()]
+    assert sorted(type(o).__name__ for o in outcomes) == sorted(cls.__name__ for cls in get_args(Classification))
+    for outcome in outcomes:
+        rec = classification_record(5, 7, outcome)
+        if isinstance(outcome, Integral):
+            assert rec == {"r": "5", "n": "7", "classification": "integral"}
+        else:
+            assert rec == {"r": "5", "n": "7", "classification": "certified_nonintegral",
+                           "certificate": certificate_record(outcome)}
+        assert classification_kind(outcome) == rec["classification"] in CLASSIFICATION_KINDS
 
 
 @pytest.mark.parametrize("kind", [["order"], {"order": 1}, 5, None, "smooth"],
