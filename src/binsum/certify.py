@@ -204,19 +204,19 @@ def sylvester_certificate(r: int, n: int) -> Optional[SylvesterPrime]:
     and n + r < 2**64, so (n, n + r] holds none.  Consecutive n share P,
     and its certificate object with it.
 
-    For n < r a walk tests q = n+1, n+2, ... with is_prime and returns the
+    For n < r the result is never None, by Sylvester-Schur: the product of
+    the n consecutive integers r+1..r+n, all above n, has a prime factor
+    above n.  A walk tests q = n+1, n+2, ... with is_prime and returns the
     first prime with a multiple in the window: every smaller candidate was
     examined and failed.  It stops at min(n + r, 2n + _TRIAL_LIMIT), so it
     makes O(n) primality tests even when r is far above n.  For n >= r that
     cap is n + r, and the walk's first prime in (n, n + r] is P itself with
-    first = P, so the two paths agree wherever both apply.  The cap is below
-    n + r only when r > n + _TRIAL_LIMIT.  If the walk finds nothing then, a
-    search factors every r + k and takes the smallest prime factor above n,
-    with its k.  That search sees every prime > n dividing the window, so
-    it returns the same minimum as an uncapped walk.  It always finds one,
-    by Sylvester-Schur: for r >= n the product of the n consecutive integers
-    r+1..r+n, all above n, has a prime factor above n, so for n < r the
-    result is never None.
+    first = P, so the two paths agree wherever both apply.  While
+    r <= n + _TRIAL_LIMIT the cap is n + r, so the walk sees every
+    qualifying prime and finds one.  Only a larger r can leave it empty; a
+    search then factors every r + k and takes the smallest prime factor
+    above n, with its k.  That search sees every prime > n dividing the
+    window, so it returns the same minimum as an uncapped walk.
     """
     _check_instance(r, n)
     if n >= r:
@@ -227,8 +227,6 @@ def sylvester_certificate(r: int, n: int) -> Optional[SylvesterPrime]:
             first = (r + q) // q * q  # least multiple of q that is >= r + 1
             if first <= r + n:
                 return SylvesterPrime(p=q, k0=first - r)
-    if r <= n + _TRIAL_LIMIT:
-        return None
     p, v = min((q, v) for v in range(r + 1, r + n + 1) for q, _ in _factorize(v) if q > n)
     return SylvesterPrime(p=p, k0=v - r)
 

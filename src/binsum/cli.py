@@ -10,7 +10,8 @@ probe).
 Each handler returns (records, human-line formatter, exit-status callable);
 ``main`` alone writes the records, to stdout or to ``--out``.  A scan's
 records arrive as text: its workers classify and format each chunk.  It never
-overwrites a non-empty ``--out`` file: only a jsonl scan resumes one.
+overwrites a non-empty ``--out`` file: only a jsonl scan resumes one, and only
+when each stored line is the record it writes for that line's n.
 
 Exit status: 0 = completed and no integral value seen, 1 = some instance
 is an integer (a counterexample to the nonintegrality conjecture: it has
@@ -53,7 +54,6 @@ from .records import (
     LINE_FORMATS,
     classification_kind,
     classification_line,
-    parse_scan_line,
     record,
     to_human_line,
     to_json_line,
@@ -241,58 +241,34 @@ def _resuming(args) -> bool:
     return True
 
 
-# Bytes _load_resume reads of a line before it knows the line ends: more
-# than any scan record, whose four integers are below 2**64 (under 200 bytes).
-_LINE_LIMIT = 1024
-
-
-def _ends_in_newline(handle) -> bool:
-    """Read on to the end of the current line, _LINE_LIMIT bytes at a time:
-    True if it ends in a newline, False if the file ends first."""
-    while chunk := handle.readline(_LINE_LIMIT):
-        if chunk.endswith(b"\n"):
-            return True
-    return False
-
-
 def _load_resume(path: str, r: int, n_start: int, n_end: int) -> tuple[int, int]:
     """Count the records (and the integral ones) already in a jsonl scan
-    file, which must hold n = n_start, n_start + 1, ... in order and stop at
-    or before n_end: appending then keeps the file sorted and gap-free.  A
-    final line without its newline is cut off, so main can append, only if
-    it begins the line the scan writes next: the torn tail of a killed run.
-    The file is read one line at a time.  Of a final line without its
-    newline only _LINE_LIMIT bytes are kept: a longer one cannot begin a
-    record."""
-    done = 0
-    integral = 0
-    size = 0  # bytes in the complete lines read so far
+    file.  Its k-th line must be, byte for byte, the record this scan writes
+    for n = n_start + k - 1, and no line may follow the one for n_end:
+    appending then leaves the file a one-shot scan writes.  So each stored n
+    is classified again and its line compared, one record's length read at a
+    time.  The one exception is a final line that stops partway through the
+    record of its n, the torn tail of a killed run: it is cut off so main
+    can append that record whole."""
+    done = integral = 0
     with open(path, "rb") as handle:
-        for lineno, line in enumerate(iter(lambda: handle.readline(_LINE_LIMIT), b""), 1):
-            if len(line) == _LINE_LIMIT and not line.endswith(b"\n") and _ends_in_newline(handle):
-                handle.seek(size)  # a complete line too long for a record: parse it whole for its complaint
-                line = handle.readline()
-            if not line.endswith(b"\n"):
-                n = n_start + done
-                if n > n_end or not (classification_line(r, n, classify(r, n)) + "\n").encode().startswith(line):
-                    raise ValueError(f"{path}:{lineno}: a final line without its newline that does not begin the "
-                                     f"record for n={n} of a scan of [{n_start}, {n_end}]; refusing to cut it off")
-                print(f"binsum: {path}:{lineno}: dropping a torn final line", file=sys.stderr)
-                os.truncate(path, size)
-                break
-            size += len(line)
-            try:
-                n, kind = parse_scan_line(line.decode("utf-8"), r)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: not a scan record for r={r}: {exc}")
-            if n != n_start + done:
-                raise ValueError(f"{path}:{lineno}: holds n={n} where n={n_start + done} comes next; "
-                                 f"only a file holding n={n_start}, {n_start + 1}, ... in order can be resumed")
-            if n > n_end:
-                raise ValueError(f"{path}:{lineno}: holds n={n}, past --n-end {n_end}")
+        for n in range(n_start, n_end + 1):
+            outcome = classify(r, n)
+            expected = (classification_line(r, n, outcome) + "\n").encode()
+            stored = handle.read(len(expected))
+            if stored != expected:
+                if not expected.startswith(stored):
+                    raise ValueError(f"{path}:{done + 1}: not the record a scan of r={r} writes for n={n}; "
+                                     f"refusing to resume this file")
+                if stored:  # an empty read is the end of the file
+                    print(f"binsum: {path}:{done + 1}: dropping a torn final line", file=sys.stderr)
+                    os.truncate(path, handle.tell() - len(stored))
+                return done, integral
             done += 1
-            if kind == "integral":
-                integral += 1
+            integral += classification_kind(outcome) == "integral"
+        if handle.read(1):
+            raise ValueError(f"{path}:{done + 1}: a line after the record for n={n_end}, the end of the scan; "
+                             f"refusing to resume this file")
     return done, integral
 
 
@@ -313,7 +289,7 @@ def _cmd_scan(args) -> _Output:
     t0 = time.perf_counter()
 
     def records():
-        workers = min(threads, -(-len(todo) // _SCAN_CHUNK))  # never more workers than chunks
+        workers = min(threads, _usable_cpus(), -(-len(todo) // _SCAN_CHUNK))  # no more workers than CPUs or chunks
         with multiprocessing.Pool(processes=workers) if workers > 1 else contextlib.nullcontext() as pool:
             for chunk_counts, text in pool.imap(_classify_chunk, tasks) if pool else map(_classify_chunk, tasks):
                 counts.update(chunk_counts)

@@ -1,4 +1,5 @@
-"""Records: the one module that turns results into record text and back.
+"""Records: the one module that turns results into record text, and stored
+certificates back.
 
 Integers, also inside lists, are written as decimal strings (`record`) so
 consumers never lose precision, and read back only in that form
@@ -130,34 +131,3 @@ LINE_FORMATS: dict[str, Callable[[int, int, Classification], str]] = {
     "human": lambda r, n, outcome: to_human_line(classification_record(r, n, outcome)),
 }
 
-
-def parse_scan_line(line: str, expected_r: int) -> tuple[int, str]:
-    """Validate one stored jsonl scan line; return its (n, classification).
-
-    Raises ValueError when the line does not look like a scan record for
-    this r (schema check before resuming), when its certificate does not
-    decode, or when it is not the exact bytes classification_line writes
-    for its outcome (padding, key order, spacing, missing or extra keys):
-    a resumed file must equal a one-shot scan byte for byte.
-    """
-    if not line.strip():
-        raise ValueError("blank line")
-    try:
-        rec = json.loads(line)
-    except RecursionError:
-        raise ValueError("record nests too deeply to parse") from None
-    if not isinstance(rec, dict):
-        raise ValueError("record is not an object")
-    for key in ("r", "n", "classification"):
-        if key not in rec:
-            raise ValueError(f"record lacks key {key!r}")
-    if rec["r"] != str(expected_r):
-        raise ValueError(f"record r={rec['r']!r} does not match scan r={str(expected_r)!r}")
-    n = _decimal(rec, "n")
-    kind = rec["classification"]
-    if kind not in CLASSIFICATION_KINDS:
-        raise ValueError(f"unknown classification {kind!r}")
-    outcome = Integral() if kind == "integral" else certificate_from_record(rec.get("certificate"))
-    if line.removesuffix("\n") != classification_line(expected_r, n, outcome):
-        raise ValueError("record is not in the canonical form a scan writes")
-    return n, kind

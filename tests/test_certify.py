@@ -151,6 +151,15 @@ def test_sylvester_smallest_prime_then_smallest_index():
     assert paths == {True, False}  # both the walk and the factoring search decided cases
 
 
+def test_sylvester_walk_decides_every_n_below_r_up_to_the_cap():
+    # n < r <= n + _TRIAL_LIMIT: the walk covers all of (n, n + r], where
+    # Sylvester-Schur puts a qualifying prime, so it never comes up empty
+    for n in range(1, 40):
+        for r in range(n + 1, n + _TRIAL_LIMIT + 1):
+            cert = sylvester_certificate(r, n)
+            assert (cert.p, cert.k0) == brute_sylvester_certificate(r, n), (r, n)
+
+
 @pytest.mark.parametrize("r", [2**61 - 2, 10**9 + 6])
 def test_sylvester_tiny_n_huge_r_returns_at_once(r):
     # r + 1 is prime, so no prime up to the walk's cap divides it; an

@@ -4,15 +4,13 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import fields
 from pathlib import Path
-from typing import get_args
 
 import pytest
 
-from binsum.certify import Certificate, Integral, classify
-from binsum.cli import _LINE_LIMIT, main
-from binsum.records import certificate_from_record, classification_line, parse_scan_line
+from binsum.certify import Integral, SylvesterPrime, classify
+from binsum.cli import main
+from binsum.records import certificate_from_record, classification_line
 
 
 def run_cli(args):
@@ -20,6 +18,11 @@ def run_cli(args):
         return main(args)
     except SystemExit as exc:
         return exc.code
+
+
+def refusal(name, line, r, n):
+    """The complaint of a resume whose stored line is not the record the scan writes."""
+    return f"{name}:{line}: not the record a scan of r={r} writes for n={n}; refusing to resume this file"
 
 
 def test_certify_record(capsys):
@@ -115,15 +118,27 @@ def test_scan_resume_skips_existing(tmp_path):
 def test_scan_resume_rejects_foreign_file(tmp_path, capsys):
     path = tmp_path / "other.jsonl"
     path.write_text('{"classification":"undecided","n":"1","r":"99"}\n')
+    before = path.read_bytes()
     assert run_cli(["scan", "--r", "4", "--n-start", "1", "--n-end", "10", "--out", str(path)]) == 2
-    assert "not a scan record" in capsys.readouterr().err
+    assert refusal("other.jsonl", 1, 4, 1) in capsys.readouterr().err
+    assert path.read_bytes() == before
 
 
-def test_scan_resume_reports_prior_integral(tmp_path):
-    # a stored integral record must keep raising the headline exit status
+def test_scan_resume_reports_prior_integral(monkeypatch, tmp_path, capsys):
+    # a stored integral record must keep raising the headline exit status,
+    # but only where classify gives that n no certificate
+    import binsum.cli as cli_mod
+
+    claim = '{"classification":"integral","n":"1","r":"9"}\n'
     path = tmp_path / "claim.jsonl"
-    path.write_text('{"classification":"integral","n":"1","r":"9"}\n')
+    path.write_text(claim)
+    assert run_cli(["scan", "--r", "9", "--n-start", "1", "--n-end", "1", "--out", str(path)]) == 2
+    assert refusal("claim.jsonl", 1, 9, 1) in capsys.readouterr().err  # fabricated: n = 1 has a certificate
+    assert path.read_text() == claim
+    monkeypatch.setattr(cli_mod, "classify", lambda r, n: Integral())
     assert run_cli(["scan", "--r", "9", "--n-start", "1", "--n-end", "1", "--out", str(path)]) == 1
+    assert "INTEGRAL VALUE FOUND: 1 instance(s)" in capsys.readouterr().err
+    assert path.read_text() == claim
 
 
 def test_scan_exit_1_on_integral(monkeypatch, tmp_path, capsys):
@@ -168,7 +183,7 @@ def test_scan_records_round_trip(tmp_path):
     seen = 0
     for line in path.read_text().splitlines():
         rec = json.loads(line)
-        n, _ = parse_scan_line(line, 7)
+        n = int(rec["n"])
         if "certificate" in rec:
             cert = certificate_from_record(rec["certificate"])
             assert cert.verify(7, n)
@@ -330,14 +345,15 @@ def test_scan_resume_drops_torn_final_line(tmp_path, capsys):
 
 
 def test_scan_resume_reads_a_large_file_in_bounded_memory(tmp_path, capsys):
-    # a synthetic prefix of several MB ending in a torn line: resuming it must
-    # not hold the whole file, and must append exactly the record for the torn n
+    # a scan file of several MB ending in a torn line: resuming it must not
+    # hold the whole file, and must append exactly the record for the torn n
     import tracemalloc
 
     start, count = 10**9, 50_000
     torn = start + count
-    line = '{{"certificate":{{"k0":"1","p":"{p}","type":"sylvester"}},"classification":"certified_nonintegral","n":"{n}","r":"23"}}\n'
-    prefix = "".join(line.format(p=n + 1, n=n) for n in range(start, torn)).encode()
+    scanned = tmp_path / "prefix.jsonl"
+    assert run_cli(["scan", "--r", "23", "--n-start", str(start), "--n-end", str(torn - 1), "--out", str(scanned)]) == 0
+    prefix = scanned.read_bytes()
     one = tmp_path / "one.jsonl"
     assert run_cli(["scan", "--r", "23", "--n-start", str(torn), "--n-end", str(torn), "--out", str(one)]) == 0
     path = tmp_path / "big.jsonl"
@@ -360,7 +376,7 @@ def test_scan_resume_reads_a_large_file_in_bounded_memory(tmp_path, capsys):
 
 def test_scan_resume_reads_a_long_final_line_in_bounded_memory(tmp_path, capsys):
     # a final line without its newline longer than any record cannot begin
-    # one: it is refused after reading it _LINE_LIMIT bytes at a time
+    # one: it is refused after reading one record's length of it
     import tracemalloc
 
     path = tmp_path / "big.txt"
@@ -373,17 +389,9 @@ def test_scan_resume_reads_a_long_final_line_in_bounded_memory(tmp_path, capsys)
     finally:
         tracemalloc.stop()
     assert code == 2
-    assert ("big.txt:1: a final line without its newline that does not begin the record for n=1 "
-            "of a scan of [1, 2]; refusing to cut it off") in capsys.readouterr().err
+    assert refusal("big.txt", 1, 3, 1) in capsys.readouterr().err
     assert peak < 2**20
     assert path.read_bytes() == text
-
-
-def test_every_scan_record_fits_the_resume_read_limit():
-    top = 2**64 - 1
-    outcomes = [cls(*(top,) * len(fields(cls))) for cls in get_args(Certificate)]
-    for outcome in outcomes + [Integral()]:
-        assert len(classification_line(top, top, outcome) + "\n") < _LINE_LIMIT
 
 
 _R3_N1 = '{"certificate":{"k0":"1","p":"2","type":"sylvester"},"classification":"certified_nonintegral","n":"1","r":"3"}\n'
@@ -391,20 +399,20 @@ _R3_N2 = '{"certificate":{"k0":"2","p":"5","type":"sylvester"},"classification":
 _R3_N3 = '{"certificate":{"k0":"2","p":"5","type":"sylvester"},"classification":"certified_nonintegral","n":"3","r":"3"}\n'
 
 
-@pytest.mark.parametrize("name, text, n_end, line, n", [
-    ("notes.txt", b"my precious notes, no newline", 5, 1, 1),
-    ("scan.jsonl", (_R3_N1 + _R3_N3[:-1]).encode(), 5, 2, 2),
-    ("scan.jsonl", (_R3_N1 + _R3_N2).encode() + b"\0" * 64, 5, 3, 3),
-    ("scan.jsonl", (_R3_N1 + _R3_N2 + _R3_N3[:20]).encode(), 2, 3, 3),
+@pytest.mark.parametrize("name, text, n_end, complaint", [
+    ("notes.txt", b"my precious notes, no newline", 5, refusal("notes.txt", 1, 3, 1)),
+    ("scan.jsonl", (_R3_N1 + _R3_N3[:-1]).encode(), 5, refusal("scan.jsonl", 2, 3, 2)),
+    ("scan.jsonl", (_R3_N1 + _R3_N2).encode() + b"\0" * 64, 5, refusal("scan.jsonl", 3, 3, 3)),
+    ("scan.jsonl", (_R3_N1 + _R3_N2 + _R3_N3[:20]).encode(), 2,
+     "scan.jsonl:3: a line after the record for n=2, the end of the scan; refusing to resume this file"),
 ], ids=["not-a-scan-file", "record-of-another-n", "nul-tail", "past-end"])
-def test_scan_resume_cuts_only_the_start_of_the_next_record(name, text, n_end, line, n, tmp_path, capsys):
+def test_scan_resume_cuts_only_the_start_of_the_next_record(name, text, n_end, complaint, tmp_path, capsys):
     # a final line without its newline is cut off only when a killed scan
     # could have left it; anything else exits 2 and leaves the file as it was
     path = tmp_path / name
     path.write_bytes(text)
     assert run_cli(["scan", "--r", "3", "--n-start", "1", "--n-end", str(n_end), "--out", str(path)]) == 2
-    assert (f"{name}:{line}: a final line without its newline that does not begin the record for n={n} "
-            f"of a scan of [1, {n_end}]; refusing to cut it off") in capsys.readouterr().err
+    assert complaint in capsys.readouterr().err
     assert path.read_bytes() == text
 
 
@@ -414,9 +422,9 @@ def test_the_resume_record_constants_are_what_a_scan_writes(capsys):
 
 
 @pytest.mark.parametrize("first, second, complaint", [
-    ((10, 12), (1, 14), "holds n=10 where n=1 comes next"),   # would append n = 1..9 after 12
-    ((1, 5), (20, 22), "holds n=1 where n=20 comes next"),    # would leave the gap 6..19
-    ((1, 5), (1, 3), "holds n=4, past --n-end 3"),
+    ((10, 12), (1, 14), refusal("scan.jsonl", 1, 3, 1)),   # would append n = 1..9 after 12
+    ((1, 5), (20, 22), refusal("scan.jsonl", 1, 3, 20)),   # would leave the gap 6..19
+    ((1, 5), (1, 3), "scan.jsonl:4: a line after the record for n=3, the end of the scan"),
 ], ids=["suffix", "gap", "past-end"])
 def test_scan_resume_refuses_a_file_that_is_not_a_prefix(first, second, complaint, tmp_path, capsys):
     path = tmp_path / "scan.jsonl"
@@ -433,20 +441,36 @@ def test_scan_resume_refuses_a_file_that_is_not_a_prefix(first, second, complain
     assert path.read_bytes() == before
 
 
-@pytest.mark.parametrize("text, complaint", [
-    ('{"classification":"certified_nonintegral","n":"1","r":"3"}', "record certificate=None is not an object"),
-    (_R3_N1.replace('"n":', '"junk":"x","n":')[:-1], "record is not in the canonical form a scan writes"),
-    (_R3_N1.replace("certified_nonintegral", "integral")[:-1], "record is not in the canonical form a scan writes"),
-    (_R3_N1.replace('"sylvester"', '"smooth"')[:-1], "unknown certificate type: 'smooth'"),
-    (_R3_N1.replace('"p":"2"', '"p":"2.0"')[:-1], "record p='2.0' is not a decimal string"),
+@pytest.mark.parametrize("text", [
+    '{"classification":"certified_nonintegral","n":"1","r":"3"}',
+    _R3_N1.replace('"n":', '"junk":"x","n":')[:-1],
+    _R3_N1.replace("certified_nonintegral", "integral")[:-1],
+    _R3_N1.replace('"sylvester"', '"smooth"')[:-1],
+    _R3_N1.replace('"p":"2"', '"p":"2.0"')[:-1],
 ], ids=["missing-certificate", "extra-key", "integral-with-certificate", "unknown-certificate-type",
         "non-decimal-p"])
-def test_scan_resume_refuses_a_record_no_scan_writes(text, complaint, tmp_path, capsys):
+def test_scan_resume_refuses_a_record_no_scan_writes(text, tmp_path, capsys):
     path = tmp_path / "scan.jsonl"
     path.write_text(text + "\n")
     assert run_cli(["scan", "--r", "3", "--n-start", "1", "--n-end", "2", "--out", str(path)]) == 2
-    assert f"scan.jsonl:1: not a scan record for r=3: {complaint}" in capsys.readouterr().err
+    assert refusal("scan.jsonl", 1, 3, 1) in capsys.readouterr().err
     assert path.read_text() == text + "\n"
+
+
+@pytest.mark.parametrize("r, n, cert, valid", [
+    (3, 1, SylvesterPrime(p=7, k0=1), False),   # 7 does not divide k0 + r = 4
+    (23, 100, SylvesterPrime(p=103, k0=80), True),  # a scan writes (101, 78)
+], ids=["forged", "valid-but-different"])
+def test_scan_resume_refuses_a_certificate_the_scan_does_not_write(r, n, cert, valid, tmp_path, capsys):
+    # a canonical line with any other certificate than classify's would make
+    # the finished file differ from a one-shot scan, or carry a false proof
+    assert cert.verify(r, n) is valid and classify(r, n) != cert
+    text = classification_line(r, n, cert) + "\n"
+    path = tmp_path / "scan.jsonl"
+    path.write_text(text)
+    assert run_cli(["scan", "--r", str(r), "--n-start", str(n), "--n-end", str(n + 5), "--out", str(path)]) == 2
+    assert refusal("scan.jsonl", 1, r, n) in capsys.readouterr().err
+    assert path.read_text() == text
 
 
 def test_scan_planning_memory_is_bounded():
@@ -560,9 +584,9 @@ def test_lemma2_has_only_the_gcd_threshold_flag(name, capsys):
 
 
 @pytest.mark.parametrize("record, complaint", [
-    ('{"classification":"undecided","n":"2999","r":"1"}', "unknown classification 'undecided'"),
+    ('{"classification":"undecided","n":"2999","r":"1"}', refusal("scan.jsonl", 1, 1, 2999)),
     ('{"classification":"oracle_nonintegral","n":"3023","r":"1","value_denominator":"2","value_numerator":"1"}',
-     "unknown classification 'oracle_nonintegral'"),
+     refusal("scan.jsonl", 1, 1, 3023)),
 ], ids=["undecided-then-larger-budget", "oracle-then-default-budget"])
 def test_scan_resume_refuses_records_of_another_budget(record, complaint, tmp_path, capsys):
     # records of the evaluation budget that classify no longer has: r = 1
@@ -627,7 +651,7 @@ def test_scan_resume_rejects_unknown_classification(tmp_path, capsys):
     path.write_text('{"classification":"proved","n":"1","r":"4"}\n')
     before = path.read_bytes()
     assert run_cli(["scan", "--r", "4", "--n-start", "1", "--n-end", "10", "--out", str(path)]) == 2
-    assert "unknown classification 'proved'" in capsys.readouterr().err
+    assert refusal("scan.jsonl", 1, 4, 1) in capsys.readouterr().err
     assert path.read_bytes() == before
 
 
@@ -656,12 +680,16 @@ def pool_sizes(monkeypatch):
     return sizes
 
 
-def test_scan_pool_has_no_more_workers_than_chunks(pool_sizes, capsys):
+def test_scan_pool_has_no_more_workers_than_chunks(pool_sizes, monkeypatch, capsys):
+    import binsum.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod, "_usable_cpus", lambda: 3)
     for n_end, threads, expected in [
-        (600, 8, [2]),    # two chunks: two workers, not eight
-        (2000, 3, [3]),   # four chunks: as many workers as asked
-        (600, 1, []),     # one worker: no pool
-        (512, 8, []),     # one chunk: no pool
+        (600, 8, [2]),         # two chunks: two workers, not eight
+        (2000, 3, [3]),        # four chunks: as many workers as asked
+        (2048, 100_000, [3]),  # four chunks on three CPUs: three workers
+        (600, 1, []),          # one worker: no pool
+        (512, 8, []),          # one chunk: no pool
     ]:
         pool_sizes.clear()
         assert run_cli(["scan", "--r", "23", "--n-start", "1", "--n-end", str(n_end), "--threads", str(threads)]) == 0
@@ -669,33 +697,33 @@ def test_scan_pool_has_no_more_workers_than_chunks(pool_sizes, capsys):
         assert len(capsys.readouterr().out.splitlines()) == n_end
 
 
-@pytest.mark.parametrize("field, value, complaint", [
-    ("n", None, "record n=None is not a decimal string"),
-    ("n", "1_0", "record n='1_0' is not a decimal string"),
-    ("n", 1.9, "record n=1.9 is not a decimal string"),
-    ("n", 10, "record n=10 is not a decimal string"),
-    ("n", "010", "record n='010' is not a decimal string"),
-    ("n", " 10", "record n=' 10' is not a decimal string"),
-    ("r", 4, "record r=4 does not match scan r='4'"),
+@pytest.mark.parametrize("field, value", [
+    ("n", None), ("n", "1_0"), ("n", 1.9), ("n", 10), ("n", "010"), ("n", " 10"), ("r", 4),
 ], ids=["n-null", "n-underscore", "n-float", "n-int", "n-leading-zero", "n-space", "r-int"])
-def test_scan_resume_refuses_a_malformed_record(field, value, complaint, tmp_path, capsys):
-    # only the decimal strings records are written with are read back
-    record = {"certificate": {"k0": "1", "p": "11", "type": "sylvester"},
+def test_scan_resume_refuses_a_malformed_record(field, value, tmp_path, capsys):
+    # only the decimal strings records are written with are accepted: each
+    # line differs from the record a scan writes for n = 10 in one field
+    record = {"certificate": {"k0": "7", "p": "11", "type": "sylvester"},
               "classification": "certified_nonintegral", "n": "10", "r": "4"}
+
+    def line():
+        return json.dumps(record, sort_keys=True, separators=(",", ":"))
+
+    assert line() == classification_line(4, 10, classify(4, 10))
     record[field] = value
     path = tmp_path / "scan.jsonl"
-    path.write_text(json.dumps(record) + "\n")
+    path.write_text(line() + "\n")
     before = path.read_bytes()
     assert run_cli(["scan", "--r", "4", "--n-start", "10", "--n-end", "12", "--out", str(path)]) == 2
-    assert complaint in capsys.readouterr().err
+    assert refusal("scan.jsonl", 1, 4, 10) in capsys.readouterr().err
     assert path.read_bytes() == before
 
 
 @pytest.mark.parametrize("text, complaint", [
-    ("[" * 200_000 + "\n", "scan.jsonl:1: not a scan record for r=3: record nests too deeply to parse"),
-    (_R3_N1 + "\n" + "   \n", "scan.jsonl:2: not a scan record for r=3: blank line"),
-    (_R3_N1 + "   \n", "scan.jsonl:2: not a scan record for r=3: blank line"),
-    (_R3_N1 + "\n" + _R3_N2, "scan.jsonl:2: not a scan record for r=3: blank line"),
+    ("[" * 200_000 + "\n", refusal("scan.jsonl", 1, 3, 1)),
+    (_R3_N1 + "\n" + "   \n", refusal("scan.jsonl", 2, 3, 2)),
+    (_R3_N1 + "   \n", refusal("scan.jsonl", 2, 3, 2)),
+    (_R3_N1 + "\n" + _R3_N2, refusal("scan.jsonl", 2, 3, 2)),
 ], ids=["deep-nesting", "empty-line", "spaces-line", "blank-between-records"])
 def test_scan_resume_refuses_a_line_that_is_not_a_record(text, complaint, tmp_path, capsys):
     # exit 2 (not 1, the counterexample code), naming the line, file untouched
@@ -726,8 +754,7 @@ def test_scan_resume_refuses_a_record_not_in_canonical_form(line, tmp_path, caps
     path.write_text(line, newline="")
     before = path.read_bytes()
     assert run_cli(["scan", "--r", "3", "--n-start", "1", "--n-end", "3", "--out", str(path)]) == 2
-    assert ("scan.jsonl:1: not a scan record for r=3: record is not in the canonical form a scan writes"
-            in capsys.readouterr().err)
+    assert refusal("scan.jsonl", 1, 3, 1) in capsys.readouterr().err
     assert path.read_bytes() == before
 
 
