@@ -11,7 +11,9 @@ Each handler returns (records, human-line formatter, exit-status callable);
 ``main`` alone writes the records, to stdout or to ``--out``.  A scan's
 records arrive as text: its workers classify and format each chunk.  It never
 overwrites a non-empty ``--out`` file: only a jsonl scan resumes one, and only
-when each stored line is the record it writes for that line's n.
+when each stored line is the record it writes for that line's n.  Those lines
+are checked by the scan's own workers, one chunk in memory at a time, before
+anything is appended, and the scan's elapsed time includes the check.
 
 Exit status: 0 = completed and no integral value seen, 1 = some instance
 is an integer (a counterexample to the nonintegrality conjecture: it has
@@ -53,7 +55,6 @@ from .records import (
     CSV_COLUMNS,
     LINE_FORMATS,
     classification_kind,
-    classification_line,
     record,
     to_human_line,
     to_json_line,
@@ -241,37 +242,6 @@ def _resuming(args) -> bool:
     return True
 
 
-def _load_resume(path: str, r: int, n_start: int, n_end: int) -> tuple[int, int]:
-    """Count the records (and the integral ones) already in a jsonl scan
-    file.  Its k-th line must be, byte for byte, the record this scan writes
-    for n = n_start + k - 1, and no line may follow the one for n_end:
-    appending then leaves the file a one-shot scan writes.  So each stored n
-    is classified again and its line compared, one record's length read at a
-    time.  The one exception is a final line that stops partway through the
-    record of its n, the torn tail of a killed run: it is cut off so main
-    can append that record whole."""
-    done = integral = 0
-    with open(path, "rb") as handle:
-        for n in range(n_start, n_end + 1):
-            outcome = classify(r, n)
-            expected = (classification_line(r, n, outcome) + "\n").encode()
-            stored = handle.read(len(expected))
-            if stored != expected:
-                if not expected.startswith(stored):
-                    raise ValueError(f"{path}:{done + 1}: not the record a scan of r={r} writes for n={n}; "
-                                     f"refusing to resume this file")
-                if stored:  # an empty read is the end of the file
-                    print(f"binsum: {path}:{done + 1}: dropping a torn final line", file=sys.stderr)
-                    os.truncate(path, handle.tell() - len(stored))
-                return done, integral
-            done += 1
-            integral += classification_kind(outcome) == "integral"
-        if handle.read(1):
-            raise ValueError(f"{path}:{done + 1}: a line after the record for n={n_end}, the end of the scan; "
-                             f"refusing to resume this file")
-    return done, integral
-
-
 def _cmd_scan(args) -> _Output:
     r = _positive("r", args.r)
     n_start = _positive("n-start", args.n_start)
@@ -281,28 +251,54 @@ def _cmd_scan(args) -> _Output:
     _check_instance(r, n_end)
     threads = _positive("threads", _usable_cpus() if args.threads is None else args.threads)
 
-    done, prior_integral = _load_resume(args.out, r, n_start, n_end) if args.resuming else (0, 0)
-
-    todo = range(n_start + done, n_end + 1)
-    tasks = ((r, todo[i : i + _SCAN_CHUNK], args.format) for i in range(0, len(todo), _SCAN_CHUNK))
+    ns = range(n_start, n_end + 1)
+    tasks = ((r, ns[i : i + _SCAN_CHUNK], args.format) for i in range(0, len(ns), _SCAN_CHUNK))
     counts: Counter = Counter()
+    present = 0  # stored lines that are the records this scan writes
     t0 = time.perf_counter()
 
     def records():
-        workers = min(threads, _usable_cpus(), -(-len(todo) // _SCAN_CHUNK))  # no more workers than CPUs or chunks
-        with multiprocessing.Pool(processes=workers) if workers > 1 else contextlib.nullcontext() as pool:
+        """Each chunk's text less what a resumed file holds, whose k-th line
+        must be the bytes of the record for n = n_start + k - 1, with no line
+        after n_end's, or a torn final line that begins its record (it is cut
+        off).  Every refusal comes before the first yield."""
+        nonlocal present
+        workers = min(threads, _usable_cpus(), -(-len(ns) // _SCAN_CHUNK))  # no more workers than CPUs or chunks
+        with (
+            open(args.out, "rb") if args.resuming else contextlib.nullcontext() as stored,
+            multiprocessing.Pool(processes=workers) if workers > 1 else contextlib.nullcontext() as pool,
+        ):
             for chunk_counts, text in pool.imap(_classify_chunk, tasks) if pool else map(_classify_chunk, tasks):
                 counts.update(chunk_counts)
+                if stored is not None:
+                    data = text.encode()
+                    held = stored.read(len(data))
+                    if held == data:
+                        present += chunk_counts.total()
+                        continue
+                    pos = 0  # walk to the first line that differs, which begins at data[pos]
+                    while held[pos : (end := data.index(b"\n", pos) + 1)] == data[pos:end]:
+                        pos, present = end, present + 1
+                    line = held[pos:end]
+                    if not data[pos:end].startswith(line):
+                        raise ValueError(f"{args.out}:{present + 1}: not the record a scan of r={r} writes for "
+                                         f"n={n_start + present}; refusing to resume this file")
+                    if line:  # else the file ended on this line's boundary
+                        print(f"binsum: {args.out}:{present + 1}: dropping a torn final line", file=sys.stderr)
+                        os.truncate(args.out, stored.tell() - len(held) + pos)
+                    stored, text = None, data[pos:].decode()
                 yield text
+            if stored is not None and stored.read(1):
+                raise ValueError(f"{args.out}:{present + 1}: a line after the record for n={n_end}, the end of the "
+                                 f"scan; refusing to resume this file")
 
     def status() -> int:
         elapsed = time.perf_counter() - t0
-        skipped = f", {done} already present" if args.resuming else ""
-        summary = ", ".join(f"{k}={v}" for k, v in sorted(counts.items())) or "nothing to do"
+        skipped = f", {present} already present" if args.resuming else ""
+        summary = ", ".join(f"{k}={v}" for k, v in sorted(counts.items()))
         print(f"scan r={r}, n in [{n_start}, {n_end}]: {summary}{skipped} ({elapsed:.2f}s)", file=sys.stderr)
-        integral = prior_integral + counts["integral"]
-        if integral:
-            print(f"INTEGRAL VALUE FOUND: {integral} instance(s)", file=sys.stderr)
+        if counts["integral"]:
+            print(f"INTEGRAL VALUE FOUND: {counts['integral']} instance(s)", file=sys.stderr)
             return EXIT_FOUND
         return EXIT_OK
 
@@ -369,7 +365,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         records, human, status = args.handler(args)
         if args.out is None:
             target = contextlib.nullcontext(sys.stdout)
-        else:  # a new or empty file, or a scan file whose records were checked
+        else:  # a new or empty file, or a scan file whose stored lines records() checks before any write
             target = open(args.out, "a", encoding="utf-8", newline="")
         with target as stream:
             writer = _Writer(stream, args.format, human)

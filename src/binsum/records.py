@@ -53,14 +53,18 @@ def certificate_record(cert: Certificate) -> dict[str, str]:
 
 
 def certificate_from_record(rec: dict[str, str]) -> Certificate:
-    """Inverse of certificate_record, for re-verifying stored results."""
+    """Inverse of certificate_record, for re-verifying stored results: it
+    refuses any key but type and the certificate's fields."""
     if not isinstance(rec, dict):
         raise ValueError(f"record certificate={rec!r} is not an object")
     kind = rec.get("type")
     cls = _CERTIFICATES.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise ValueError(f"unknown certificate type: {kind!r}")
-    return cls(**{f.name: _decimal(rec, f.name) for f in fields(cls)})
+    names = [f.name for f in fields(cls)]
+    if extra := sorted(rec.keys() - {"type", *names}):
+        raise ValueError(f"record {extra[0]}={rec[extra[0]]!r}: {kind} certificates have no such field")
+    return cls(**{name: _decimal(rec, name) for name in names})
 
 
 CLASSIFICATION_KINDS = ("certified_nonintegral", "integral")

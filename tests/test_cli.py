@@ -104,15 +104,90 @@ def test_scan_sorted_and_thread_and_format_invariant(fmt, dest, tmp_path, capsys
         assert ns == [str(n) for n in range(1, n_end + 1)]
 
 
-def test_scan_resume_skips_existing(tmp_path):
+def test_scan_resume_skips_existing(tmp_path, capsys):
     full = tmp_path / "full.jsonl"
     partial = tmp_path / "partial.jsonl"
     base = ["scan", "--r", "4", "--n-start", "1", "--n-end", "300", "--threads", "2"]
     assert run_cli(base + ["--out", str(full)]) == 0
     lines = full.read_text().splitlines(keepends=True)
     partial.write_text("".join(lines[:120]))
+    capsys.readouterr()
     assert run_cli(base + ["--out", str(partial)]) == 0
     assert partial.read_bytes() == full.read_bytes()
+    # the summary tallies every n of the range, the stored ones too
+    assert "scan r=4, n in [1, 300]: certified_nonintegral=300, 120 already present (" in capsys.readouterr().err
+
+
+def test_scan_elapsed_time_covers_the_resume_check(monkeypatch, tmp_path, capsys):
+    # each classify advances a fake clock by 1 s: checking the three stored
+    # lines of a complete file takes 3 s of the scan's reported time
+    import types
+
+    import binsum.cli as cli_mod
+
+    path = tmp_path / "scan.jsonl"
+    argv = ["scan", "--r", "3", "--n-start", "1", "--n-end", "3", "--threads", "1", "--out", str(path)]
+    assert run_cli(argv) == 0
+    before = path.read_bytes()
+    capsys.readouterr()
+    clock = [0.0]
+
+    def ticking_classify(r, n):
+        clock[0] += 1
+        return classify(r, n)
+
+    monkeypatch.setattr(cli_mod, "time", types.SimpleNamespace(perf_counter=lambda: clock[0]))
+    monkeypatch.setattr(cli_mod, "classify", ticking_classify)
+    assert run_cli(argv) == 0
+    assert capsys.readouterr().err == "scan r=3, n in [1, 3]: certified_nonintegral=3, 3 already present (3.00s)\n"
+    assert path.read_bytes() == before
+
+
+@pytest.fixture
+def one_shot_1300(tmp_path):
+    """The lines of a one-shot scan of r = 23 over n = 1..1300 (three chunks)."""
+    path = tmp_path / "one.jsonl"
+    assert run_cli(["scan", "--r", "23", "--n-start", "1", "--n-end", "1300", "--threads", "1", "--out", str(path)]) == 0
+    return path.read_bytes().splitlines(keepends=True)
+
+
+def _forged_700():
+    line = classification_line(23, 700, SylvesterPrime(p=7, k0=1))  # 7 does not divide k0 + r = 24
+    assert not SylvesterPrime(p=7, k0=1).verify(23, 700)
+    return line.encode() + b"\n"
+
+
+@pytest.mark.parametrize("stored, code, complaint", [
+    (lambda lines: b"".join(lines[:512]), 0, "512 already present"),
+    (lambda lines: b"".join(lines[:700]) + lines[700][:50], 0, "resumed.jsonl:701: dropping a torn final line"),
+    (lambda lines: b"".join(lines[:699]) + _forged_700() + b"".join(lines[700:900]), 2,
+     refusal("resumed.jsonl", 700, 23, 700)),
+], ids=["cut-on-a-chunk-boundary", "torn-in-the-second-chunk", "forged-line-700"])
+def test_scan_resume_with_a_worker_pool(stored, code, complaint, one_shot_1300, monkeypatch, tmp_path, capsys):
+    # two real workers classify the chunks that the stored lines are
+    # compared with; the finished file is the one-shot scan's bytes, and a
+    # refused file is left as it was
+    import binsum.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod, "_usable_cpus", lambda: 2)
+    path = tmp_path / "resumed.jsonl"
+    path.write_bytes(stored(one_shot_1300))
+    before = path.read_bytes()
+    capsys.readouterr()
+    assert run_cli(["scan", "--r", "23", "--n-start", "1", "--n-end", "1300", "--threads", "2", "--out", str(path)]) == code
+    assert complaint in capsys.readouterr().err
+    assert path.read_bytes() == (b"".join(one_shot_1300) if code == 0 else before)
+
+
+def test_scan_resume_starts_a_pool_of_two(one_shot_1300, pool_sizes, monkeypatch, tmp_path):
+    import binsum.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod, "_usable_cpus", lambda: 2)
+    path = tmp_path / "resumed.jsonl"
+    path.write_bytes(b"".join(one_shot_1300[:512]))
+    assert run_cli(["scan", "--r", "23", "--n-start", "1", "--n-end", "1300", "--threads", "2", "--out", str(path)]) == 0
+    assert pool_sizes == [2]
+    assert path.read_bytes() == b"".join(one_shot_1300)
 
 
 def test_scan_resume_rejects_foreign_file(tmp_path, capsys):

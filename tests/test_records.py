@@ -83,11 +83,14 @@ def test_denominator_and_integral_lines_match_the_encoder():
     ({"type": "denominator", "p": "07"}, "p"),
     ({"type": "denominator", "p": " 7"}, "p"),
     ({"type": "denominator"}, "p"),
+    ({"type": "order", "p": "5", "j": "2", "k0": "9"}, "k0"),
+    ({"type": "sylvester", "p": "13", "k0": "1", "junk": "x"}, "junk"),
 ], ids=["underscore", "plus", "missing-j", "null-j", "float-k0", "int-k0", "missing-k0",
-        "leading-zero", "space", "missing-p"])
+        "leading-zero", "space", "missing-p", "field-of-another-type", "junk-key"])
 def test_certificate_from_record_takes_only_canonical_decimals(rec, field):
     # the stored integers are read back only as the decimal strings records
-    # write; anything else is a ValueError naming the field
+    # write, and no key but type and the certificate's fields is read;
+    # anything else is a ValueError naming the field
     with pytest.raises(ValueError, match=f"record {field}="):
         certificate_from_record(rec)
 
