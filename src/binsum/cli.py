@@ -104,9 +104,10 @@ def _usable_cpus() -> int:
 
 
 def _parse_exponent(text: str) -> tuple[int, int]:
-    match = re.fullmatch(r"0*([1-9][0-9]*)(?:/0*([1-9][0-9]*))?", text)
-    if match is None:
-        raise ValueError(f"exponent must be a positive fraction NUM or NUM/DEN: got {text!r}")
+    # NUM, DEN <= 10**4 bounds lemma2's cost: nth_root starts from 2**(DEN - 1)
+    match = re.fullmatch(r"0*([1-9][0-9]{0,4})(?:/0*([1-9][0-9]{0,4}))?", text)
+    if match is None or max(int(match[1]), int(match[2] or 1)) > 10**4:
+        raise ValueError(f"exponent must be a positive fraction NUM or NUM/DEN, NUM and DEN <= 10000: got {text!r}")
     return int(match[1]), int(match[2] or 1)
 
 

@@ -144,13 +144,14 @@ def verify_tuple(w: TupleWitness, gcd_exp: tuple[int, int] = GCD_EXP) -> TupleCh
         fails.append("orders/pair_gcds length mismatch")
 
     inum, iden = INTERVAL_EXP
+    orders: list[int] = []  # recomputed, never read from w.orders
     for idx, p in enumerate(w.primes):
         if p <= 2 or p >= U64_LIMIT or not is_prime(p) or p % 2 == 0:
             fails.append(f"p={p} is not an odd prime")
             continue
         if p <= r or power_compare(p - r, r, inum, iden) > 0:
             fails.append(f"p={p} outside (r, r + r**({inum}/{iden})]")
-        t = order2(p)
+        orders.append(t := order2(p))
         if idx < len(w.orders) and w.orders[idx] != t:
             fails.append(f"stored order {w.orders[idx]} != order2({p}) = {t}")
         if r < 2 or power_compare(t, r, *ORDER_EXP) <= 0:
@@ -166,7 +167,7 @@ def verify_tuple(w: TupleWitness, gcd_exp: tuple[int, int] = GCD_EXP) -> TupleCh
                 if power_compare(g, r, *gcd_exp) >= 0:
                     fails.append(f"gcd {g} for pair ({i},{j}) fails the gcd threshold")
                 k += 1
-        expected_lcm = lcm(*w.primes[:LCM_PREFIX], *[order2(p) for p in w.primes[:LCM_PREFIX]])
+        expected_lcm = lcm(*w.primes[:LCM_PREFIX], *orders[:LCM_PREFIX])
         if w.lcm_m != expected_lcm:
             fails.append(f"stored lcm {w.lcm_m} != recomputed {expected_lcm}")
 

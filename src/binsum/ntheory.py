@@ -177,8 +177,7 @@ def _rho_factor(m: int) -> int:
     raise ArithmeticError(f"rho parameter sweep exhausted on {m}")
 
 
-@lru_cache(maxsize=1 << 16)
-def _factorize(m: int) -> tuple[tuple[int, int], ...]:
+def _factorize(m: int) -> list[tuple[int, int]]:
     factors: dict[int, int] = {}
     for p in _TRIAL_PRIMES:
         if p * p > m:
@@ -186,17 +185,15 @@ def _factorize(m: int) -> tuple[tuple[int, int], ...]:
         while m % p == 0:
             factors[p] = factors.get(p, 0) + 1
             m //= p
-    if m > 1:
-        stack = [m]
-        while stack:
-            v = stack.pop()
-            if is_prime(v):
-                factors[v] = factors.get(v, 0) + 1
-            else:
-                d = _rho_factor(v)
-                stack.append(d)
-                stack.append(v // d)
-    return tuple(sorted(factors.items()))
+    stack = [m] if m > 1 else []
+    while stack:
+        v = stack.pop()
+        if is_prime(v):
+            factors[v] = factors.get(v, 0) + 1
+        else:
+            d = _rho_factor(v)
+            stack += d, v // d
+    return sorted(factors.items())
 
 
 def factorize(m: int) -> list[tuple[int, int]]:
@@ -204,10 +201,9 @@ def factorize(m: int) -> list[tuple[int, int]]:
     (prime, exponent) pairs."""
     if not 2 <= m < U64_LIMIT:
         raise ValueError(f"factorize domain is [2, 2**64): got {m}")
-    return list(_factorize(m))
+    return _factorize(m)
 
 
-@lru_cache(maxsize=1 << 16)
 def order2(p: int) -> int:
     """Multiplicative order of 2 modulo an odd prime p: the least t >= 1
     with 2**t == 1 (mod p).

@@ -721,6 +721,21 @@ def test_lemma2_rejects_a_malformed_gcd_exponent(text, capsys):
     assert err.startswith("binsum: error: exponent must be a positive fraction") and repr(text) in err
 
 
+@pytest.mark.parametrize("text", ["1/10001", "10001/1", "010001", "1/1" + "0" * 5000],
+                         ids=["den", "num", "leading-zero", "5001-digit-den"])
+def test_lemma2_refuses_an_exponent_above_ten_thousand(text, capsys):
+    # the search's cost grows with NUM and DEN: nth_root starts from 2**(DEN - 1)
+    assert run_cli(["lemma2", "--r", "100", "--gcd-exp", text]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("binsum: error: exponent must be a positive fraction NUM or NUM/DEN, "
+                          "NUM and DEN <= 10000") and repr(text) in err
+
+
+def test_lemma2_takes_an_exponent_of_ten_thousand():
+    assert run_cli(["lemma2", "--r", "100", "--gcd-exp", "1/10000"]) == 0
+    assert run_cli(["lemma2", "--r", "100", "--gcd-exp", "10000/1"]) == 0
+
+
 def test_scan_resume_rejects_unknown_classification(tmp_path, capsys):
     path = tmp_path / "scan.jsonl"
     path.write_text('{"classification":"proved","n":"1","r":"4"}\n')

@@ -1,5 +1,8 @@
 import dataclasses
+import gc
+import math
 import random
+import tracemalloc
 from itertools import combinations
 from math import gcd
 
@@ -20,7 +23,7 @@ from binsum.experiments import (
     small_order_census,
     verify_tuple,
 )
-from binsum.ntheory import U64_LIMIT, is_prime, order2, primes_in, smooth_divisor
+from binsum.ntheory import U64_LIMIT, is_prime, order2, primes_in, primes_upto, smooth_divisor
 
 # gcd(p-1, q-1) is even for odd primes, so the default gcd threshold
 # gcd < r**0.001 is vacuous below r = 2**1000; tests that need a witness
@@ -153,6 +156,21 @@ def test_census_examples():
     assert small_order_census(2) == (0, [])
     count, primes = small_order_census(10**4)
     assert count == 1 and primes == [8191]  # order2(8191) = 13 and 13**10 <= 8191**3
+
+
+def test_census_keeps_nothing_after_it_returns():
+    # order2 and the factorizations under it are recomputed on every call,
+    # so a census leaves no per-prime table behind; the shared sieve is warm
+    t = 10**5
+    primes_upto(math.isqrt(t))
+    tracemalloc.start()
+    try:
+        small_order_census(t)
+        gc.collect()
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept < 2 * 2**20
 
 
 def test_census_is_prefix_monotone():
