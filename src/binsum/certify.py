@@ -170,7 +170,8 @@ class DenominatorPrime:
 
 
 # The frozen certificate for (p, k0), built once for the consecutive n
-# that share it (sylvester_certificate).
+# that share it: k0 = first - r depends on p and r alone, not on n
+# (sylvester_certificate).
 _sylvester_prime = lru_cache(maxsize=1)(SylvesterPrime)
 
 Certificate = Union[SylvesterPrime, OrderCertificate, DenominatorPrime]
@@ -206,29 +207,29 @@ def sylvester_certificate(r: int, n: int) -> Optional[SylvesterPrime]:
 
     For n < r the result is never None, by Sylvester-Schur: the product of
     the n consecutive integers r+1..r+n, all above n, has a prime factor
-    above n.  A walk tests q = n+1, n+2, ... with is_prime and returns the
-    first prime with a multiple in the window: every smaller candidate was
-    examined and failed.  It stops at min(n + r, 2n + _TRIAL_LIMIT), so it
-    makes O(n) primality tests even when r is far above n.  For n >= r that
-    cap is n + r, and the walk's first prime in (n, n + r] is P itself with
-    first = P, so the two paths agree wherever both apply.  While
-    r <= n + _TRIAL_LIMIT the cap is n + r, so the walk sees every
-    qualifying prime and finds one.  Only a larger r can leave it empty; a
-    search then factors every r + k and takes the smallest prime factor
-    above n, with its k.  That search sees every prime > n dividing the
-    window, so it returns the same minimum as an uncapped walk.
+    above n.  A walk steps through the primes q = next_prime(n),
+    next_prime(q), ... and returns the first with a multiple in the window:
+    every smaller prime above n was examined and failed.  It stops at
+    min(n + r, 2n + _TRIAL_LIMIT), so it covers O(n) integers even when r is
+    far above n.  The cap can exceed 2**64 - 59, the largest prime below
+    2**64, where next_prime returns None and the walk ends.  While r <= n + _TRIAL_LIMIT the cap is n + r, so the walk sees
+    every qualifying prime and finds one.  Only a larger r can leave it
+    empty; a search then factors every r + k and takes the smallest prime
+    factor above n, with its k.  That search sees every prime > n dividing
+    the window, so it returns the same minimum as an uncapped walk.
     """
     _check_instance(r, n)
     if n >= r:
         p = next_prime(n)
         return None if p is None or p > n + r else _sylvester_prime(p, p - r)
-    for q in range(n + 1, min(n + r, 2 * n + _TRIAL_LIMIT) + 1):
-        if is_prime(q):
-            first = (r + q) // q * q  # least multiple of q that is >= r + 1
-            if first <= r + n:
-                return SylvesterPrime(p=q, k0=first - r)
+    q, cap = next_prime(n), min(n + r, 2 * n + _TRIAL_LIMIT)
+    while q is not None and q <= cap:
+        first = (r + q) // q * q  # least multiple of q that is >= r + 1
+        if first <= r + n:
+            return _sylvester_prime(q, first - r)
+        q = next_prime(q)
     p, v = min((q, v) for v in range(r + 1, r + n + 1) for q, _ in _factorize(v) if q > n)
-    return SylvesterPrime(p=p, k0=v - r)
+    return _sylvester_prime(p, v - r)
 
 
 def order_certificate(r: int, n: int) -> Optional[OrderCertificate]:

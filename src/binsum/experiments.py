@@ -24,7 +24,7 @@ LCM_PREFIX = 4  # the lcm bound uses the four smallest primes of the tuple
 
 CENSUS_LIMIT = 10**7
 SCAN_RANGE_LIMIT = 10**7
-SMOOTH_WORK_LIMIT = 10**9
+SMOOTH_WORK_LIMIT = 10**7
 
 # Exponent thresholds of the six-prime witness search, as (num, den) pairs:
 # x passes "x < r**(num/den)" iff x**den < r**num, etc.
@@ -249,12 +249,13 @@ class SmoothStats:
 def m_of_r(r: int, n_max: int) -> SmoothStats:
     """Maximize M_r(n) = min_{1<=j<=r} s_r(n+j) over 1 <= n <= n_max.
 
-    Computed with a sliding window minimum so each smooth divisor is
-    evaluated once.
+    Computed with a sliding window minimum so each of the n_max + r - 1
+    smooth divisors s_r(2), ..., s_r(n_max + r) is evaluated once; that
+    count is what SMOOTH_WORK_LIMIT bounds.
     """
     _check_instance(r, n_max)
-    if r * n_max > SMOOTH_WORK_LIMIT:
-        raise ValueError(f"r * n_max = {r * n_max} exceeds work limit {SMOOTH_WORK_LIMIT}")
+    if n_max + r - 1 > SMOOTH_WORK_LIMIT:
+        raise ValueError(f"n_max + r - 1 = {n_max + r - 1} smooth divisors exceed work limit {SMOOTH_WORK_LIMIT}")
     best_m, best_n = 0, 0
     window: deque[tuple[int, int]] = deque()  # (i, s_r(i)), s-values increasing
     for i in range(2, n_max + r + 1):

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from functools import lru_cache
 from typing import Optional
 
 U64_LIMIT = 1 << 64
@@ -28,7 +27,6 @@ _TINY_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 _TRIAL_LIMIT = 1000          # trial-divide by all primes below this first
 _SEGMENT = 1 << 18           # segment width for windowed sieving
-_PRIME_CACHE_SIZE = 2048     # answers is_prime keeps; see is_prime
 
 _small_primes: list[int] = []
 _small_limit = 0
@@ -57,22 +55,9 @@ _TRIAL_SET = frozenset(_TRIAL_PRIMES)
 _TRIAL_PRODUCT = math.prod(_TRIAL_PRIMES)
 
 
-@lru_cache(maxsize=_PRIME_CACHE_SIZE)
 def is_prime(m: int) -> bool:
-    """Deterministic primality test for 1 <= m < 2**64.
-
-    The answer depends on m alone, so a cached answer is the one a fresh
-    test would give, whatever was asked before; a call that raises is not
-    cached and raises again.  Correctness never depends on the cache.
-
-    The cache serves the sylvester walk for n < r (for n >= r it takes
-    next_prime, which tests each integer of a scan once by itself).  That
-    walk tests n+1, n+2, ... up to the first prime with a multiple in
-    [r + 1, r + n], and the walk for n + 1 repeats the one for n but for its
-    first integer, so a scan tests each integer once while the cache holds
-    a whole walk; an LRU cache shorter than the walk misses on every integer
-    of it.  A walk covers at most n + _TRIAL_LIMIT integers, so 2048
-    entries hold every walk with n <= 1048.
+    """Deterministic primality test for 1 <= m < 2**64.  It keeps no
+    cache: the scans that walk integers do so through next_prime's memo.
 
     Miller-Rabin runs only on m >= 10**6 with no prime factor below
     _TRIAL_LIMIT = 1000.  The tiny primes go first, one remainder each,
@@ -112,7 +97,8 @@ def is_prime(m: int) -> bool:
     return True
 
 
-# next_prime's memo (n0, P): P is prime and (n0, P) holds no prime.
+# next_prime's memo (n0, P): (n0, P) holds no prime, and P is prime or is
+# U64_LIMIT, which stands for "none below 2**64".
 _next_prime_memo = (0, 2)
 
 
@@ -120,24 +106,25 @@ def next_prime(n: int) -> Optional[int]:
     """Least prime above n, for 0 <= n < 2**64; None when (n, 2**64) holds
     no prime (n >= 2**64 - 59, the largest prime below 2**64).
 
-    The memo (n0, P) answers every n with n0 <= n < P at once: P is prime
-    and no prime lies in (n0, P), so none lies in (n, P) either.  Any other
-    n walks n+1, n+2, ... with is_prime and, on finding P', stores (n, P').
-    A scan over increasing n thus tests each integer once: at n = P it
-    walks on from P + 1, which no earlier walk reached.  The answer depends
-    on n alone, whatever was asked before.
+    The memo (n0, P) answers every n with n0 <= n < P at once: no prime
+    lies in (n0, P), so none lies in (n, P) either.  Any other n walks
+    n+1, n+2, ... with is_prime and stores (n, P') for the prime P' it finds,
+    or (n, 2**64) when it finds none.  A scan over increasing n thus tests
+    each integer once: at n = P it walks on from P + 1, which no earlier
+    walk reached.  The answer depends on n alone, whatever was asked before.
     """
     global _next_prime_memo
     n0, p = _next_prime_memo
-    if n0 <= n < p:
-        return p
-    if not 0 <= n < U64_LIMIT:
-        raise ValueError(f"next_prime domain is [0, 2**64): got {n}")
-    for m in range(n + 1, U64_LIMIT):
-        if is_prime(m):
-            _next_prime_memo = (n, m)
-            return m
-    return None
+    if not n0 <= n < p:
+        if not 0 <= n < U64_LIMIT:
+            raise ValueError(f"next_prime domain is [0, 2**64): got {n}")
+        for p in range(n + 1, U64_LIMIT):
+            if is_prime(p):
+                break
+        else:
+            p = U64_LIMIT
+        _next_prime_memo = (n, p)
+    return p if p < U64_LIMIT else None
 
 
 def _brent_rho(m: int, c: int) -> int:
@@ -233,12 +220,14 @@ def smooth_divisor(r: int, m: int) -> int:
     if r <= 4096:
         s = 1
         for p in primes_upto(r):
-            if p > m:
+            if p * p > m:
                 break
             while m % p == 0:
                 m //= p
                 s *= p
-        return s
+        # what is left of m is 1 or a prime when the loop broke at p * p > m,
+        # and has no prime factor <= r when it did not
+        return s * m if m <= r else s
     return math.prod(p**e for p, e in _factorize(m) if p <= r)
 
 

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -324,10 +325,10 @@ def test_consecutive_n_share_one_outcome():
     assert classify(3, 9) == SylvesterPrime(p=11, k0=8)
 
 
-def test_scan_at_2_62_tests_each_integer_once(monkeypatch):
-    # the next-prime pointer walks each integer once: every integer from n0
-    # up to the next prime after the window, none twice and none past it
-    n0, width = 2**62, 2048
+@pytest.fixture
+def tested(monkeypatch):
+    """How often ntheory tests each integer for primality, from a reset
+    next_prime memo on."""
     tested = Counter()
 
     def counting_is_prime(m):
@@ -336,6 +337,13 @@ def test_scan_at_2_62_tests_each_integer_once(monkeypatch):
 
     monkeypatch.setattr(ntheory, "is_prime", counting_is_prime)
     monkeypatch.setattr(ntheory, "_next_prime_memo", (0, 2))
+    return tested
+
+
+def test_scan_at_2_62_tests_each_integer_once(tested):
+    # the next-prime pointer walks each integer once: every integer from n0
+    # up to the next prime after the window, none twice and none past it
+    n0, width = 2**62, 2048
     outcomes = [classify(7, n) for n in range(n0, n0 + width)]
     # no order search here falls back to factoring, which tests other integers
     assert all(o.kind == "sylvester" or o.p < _TRIAL_LIMIT for o in outcomes)
@@ -344,24 +352,35 @@ def test_scan_at_2_62_tests_each_integer_once(monkeypatch):
     assert sorted(tested) == list(range(n0 + 1, last + 1))
 
 
-def test_long_walks_stay_cached_and_match_the_uncached_walk(monkeypatch):
+def test_scan_at_the_top_of_the_domain_tests_each_integer_once(tested):
+    # past 2**64 - 59 next_prime finds none, and its memo keeps that answer
+    n0 = U64_LIMIT - 1016
+    outcomes = [classify(7, n) for n in range(n0, U64_LIMIT - 7)]
+    assert all(o.kind == "sylvester" or o.p < _TRIAL_LIMIT for o in outcomes)
+    assert max(tested.values()) == 1
+    assert sorted(tested) == list(range(n0 + 1, U64_LIMIT))
+
+
+def test_long_walks_stay_cached_and_match_the_uncached_walk(tested):
     p = 1693182318746371  # prime; the next prime is p + 1132
     window = range(p, p + 64)
-    is_prime.cache_clear()
-    monkeypatch.setattr(ntheory, "_next_prime_memo", (0, 2))
     cached = [classify(1200, n) for n in window]
-    assert is_prime.cache_info().misses == 1132  # one walk serves the window
-    monkeypatch.setattr(ntheory, "is_prime", is_prime.__wrapped__)
-    monkeypatch.setattr(ntheory, "_next_prime_memo", (0, 2))
-    assert [classify(1200, n) for n in window] == cached
+    assert sum(tested.values()) == 1132  # one walk, then the memo serves the window
+    assert cached == [walk_sylvester_certificate(1200, n) for n in window]
     assert {o.p for o in cached} == {p + 1132}
 
 
+# The reference walk for n re-tests what the walk for n - 1 tested (across
+# the 1132-long gap, ~6 * 10**5 tests per r); a cache local to the tests
+# keeps that cheap.
+_walk_is_prime = functools.cache(is_prime)
+
+
 def walk_sylvester_certificate(r, n):
-    """The search sylvester_certificate made for every n before it took
-    next_prime for n >= r: the capped walk, then the factoring search."""
+    """The search sylvester_certificate made before it took its primes from
+    next_prime: the capped walk over integers, then the factoring search."""
     for q in range(n + 1, min(n + r, 2 * n + _TRIAL_LIMIT) + 1):
-        if is_prime(q):
+        if _walk_is_prime(q):
             first = (r + q) // q * q
             if first <= r + n:
                 return SylvesterPrime(p=q, k0=first - r)
@@ -387,14 +406,21 @@ def sylvester_scans():
     # the top of the domain: no prime lies in (2**64 - 59, 2**64)
     for r in (1, 7, 58, 59, 60, 200):
         yield r, range(U64_LIMIT - 300, U64_LIMIT - r)
+    # n < r, where the walk steps through primes up to min(n + r, 2n + 1000)
+    yield 10**6, range(1, 3000)
+    yield 10**13, range(10**12, 10**12 + 300)
+    for r in (1100, 10**6 + 17, 10**12 + 39):  # r - n runs across _TRIAL_LIMIT
+        yield r, range(r - _TRIAL_LIMIT - 40, r - _TRIAL_LIMIT + 40)
+    # the cap 2n + 1000 lies above 2**64 - 59, 19 above it at n = 2**63 - 520
+    yield 2**63 + 500, range(2**63 - 560, 2**63 - 500)
 
 
 def test_sylvester_pointer_matches_the_walk():
     for r, ns in sylvester_scans():
         certs = [sylvester_certificate(r, n) for n in ns]
         assert certs == [walk_sylvester_certificate(r, n) for n in ns], (r, ns)
-        # consecutive n >= r that share a certificate share its object
-        pointer = [c for n, c in zip(ns, certs) if n >= r and c is not None]
+        # consecutive n that share a certificate share its object
+        pointer = [c for c in certs if c is not None]
         assert all(a is b for a, b in zip(pointer, pointer[1:]) if a == b)
     # any query order gives the same answers
     p = 1693182318746371
@@ -402,12 +428,12 @@ def test_sylvester_pointer_matches_the_walk():
     assert [sylvester_certificate(1200, n) for n in ns] == [walk_sylvester_certificate(1200, n) for n in ns]
 
 
-def test_classify_does_not_depend_on_cache_history():
+def test_classify_does_not_depend_on_cache_history(monkeypatch):
     window = range(2**62 + 5000, 2**62 + 5300)
-    is_prime.cache_clear()
+    monkeypatch.setattr(ntheory, "_next_prime_memo", (0, 2))
     ascending = [classify(7, n) for n in window]
     warm_descending = [classify(7, n) for n in reversed(window)][::-1]
-    is_prime.cache_clear()
+    monkeypatch.setattr(ntheory, "_next_prime_memo", (0, 2))
     cold_descending = [classify(7, n) for n in reversed(window)][::-1]
     warm_ascending = [classify(7, n) for n in window]
     assert ascending == warm_descending == cold_descending == warm_ascending

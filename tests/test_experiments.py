@@ -252,8 +252,16 @@ def test_tuple_search_matches_a_per_pair_power_compare(r, gcd_exp):
 
 
 def test_m_of_r_rejects_oversized_work():
+    # the bound is on the n_max + r - 1 smooth divisors the window evaluates
     with pytest.raises(ValueError):
-        m_of_r(10**5, 10**5)
+        m_of_r(10**7, 10)
+
+
+def test_m_of_r_bounds_divisors_not_their_product():
+    # 1.2 * 10**5 divisors, though r * n_max = 2 * 10**9; every window from
+    # n = 3 on holds the prime 100003 > r, so M_r(n) = 1 there
+    stats = m_of_r(10**5, 2 * 10**4)
+    assert (stats.m_max, stats.argmax_n) == (3, 2)
 
 
 def test_gap_probe_examples():

@@ -176,6 +176,15 @@ def test_smooth_divisor_properties(r, m):
     assert all(p <= r for p, _ in factorize(s)) if s > 1 else True
 
 
+def test_smooth_divisor_matches_factorize():
+    # r <= 4096 trial-divides only up to isqrt of what is left of m
+    rng = random.Random(24)
+    for _ in range(20000):
+        r = rng.randrange(1, 4097)
+        m = rng.randrange(2, 10 ** rng.randrange(2, 13))
+        assert smooth_divisor(r, m) == math.prod(p**e for p, e in factorize(m) if p <= r), (r, m)
+
+
 @given(st.integers(1, 500), st.integers(1, 500), st.integers(2, 10**9))
 def test_smooth_divisor_monotone_in_r(r1, r2, m):
     if r1 > r2:
