@@ -7,12 +7,12 @@ parallel), lemma2 (six-prime interval witness search), census (small-order
 primes), msmooth (windowed smooth-divisor statistics), gaps (next-prime
 probe).
 
-Each handler returns (records, human-line formatter, exit-status callable);
-``main`` alone writes the records, to stdout or to ``--out``.  A scan's
-records arrive as text: its workers classify and format each chunk.  It never
-overwrites a non-empty ``--out`` file: only a jsonl scan resumes one, and only
-when each stored line is the record it writes for that line's n.  Those lines
-are checked by the scan's own workers, one chunk in memory at a time, before
+Each handler returns (lines, exit-status callable), the lines being text
+in the chosen format; ``main`` alone writes them, to stdout or to ``--out``.
+A scan's workers classify and format each chunk.  A scan never overwrites a
+non-empty ``--out`` file: only a jsonl scan resumes one, and only when each
+stored line is the record it writes for that line's n.  Those lines are
+checked by the scan's own workers, one chunk in memory at a time, before
 anything is appended, and the scan's elapsed time includes the check.
 
 Exit status: 0 = completed and no integral value seen, 1 = some instance
@@ -56,7 +56,6 @@ from .records import (
     LINE_FORMATS,
     classification_kind,
     record,
-    to_human_line,
     to_json_line,
 )
 
@@ -66,28 +65,26 @@ EXIT_USAGE = 2
 
 _SCAN_CHUNK = 512
 
-_Output = tuple[Iterable[dict | str], Callable[[dict], str], Callable[[], int]]
+_Output = tuple[Iterable[str], Callable[[], int]]
 
 
 class _Writer:
-    """Single-destination writer for one of the three formats.  It takes
-    records, or text already in its format (the classification lines of
-    certify and scan, the only commands that offer csv)."""
+    """Single-destination writer of text already in its format.  It adds
+    only the csv header (csv is offered by certify and scan alone)."""
 
-    def __init__(self, stream: TextIO, fmt: str, human: Callable[[dict], str]):
+    def __init__(self, stream: TextIO, fmt: str):
         self.stream = stream
-        self.fmt = fmt
-        self.human = human
         if fmt == "csv":
             stream.write(",".join(CSV_COLUMNS) + "\n")
 
-    def write(self, rec: dict | str) -> None:
-        if isinstance(rec, str):
-            self.stream.write(rec)
-        elif self.fmt == "jsonl":
-            self.stream.write(to_json_line(rec) + "\n")
-        else:
-            self.stream.write(self.human(rec) + "\n")
+    def write(self, text: str) -> None:
+        self.stream.write(text)
+
+
+def _line(fmt: str, rec: dict, human: str) -> str:
+    """The line of a record that is not a classification: its json, or the
+    human text, newline-terminated."""
+    return (to_json_line(rec) if fmt == "jsonl" else human) + "\n"
 
 
 def _positive(name: str, value: int) -> int:
@@ -183,7 +180,7 @@ def _cmd_oracle(args) -> _Output:
         value = (s_upper if args.upper else s_lower)(r, n)
     rec = record(r=r, n=n, sum=which, value_numerator=value.numerator, value_denominator=value.denominator)
     human = f"(r={r}, n={n}) {which} sum = {value.numerator}/{value.denominator}"
-    return [rec], lambda _: human, lambda: EXIT_FOUND if value.denominator == 1 else EXIT_OK
+    return [_line(args.format, rec, human)], lambda: EXIT_FOUND if value.denominator == 1 else EXIT_OK
 
 
 def _cmd_identity(args) -> _Output:
@@ -195,7 +192,7 @@ def _cmd_identity(args) -> _Output:
         raise ValueError(f"n-max={n_max} exceeds the evaluation cutoff {ORACLE_CUTOFF}")
     bad = 0
 
-    def records():
+    def lines():
         nonlocal bad
         for r in range(1, r_max + 1):
             for n in range(1, n_max + 1):
@@ -203,24 +200,22 @@ def _cmd_identity(args) -> _Output:
                 closed_ok = upper == s_upper_closed(r, n)
                 comp_ok = s_lower(r, n) + upper == 1 << n
                 bad += not (closed_ok and comp_ok)
-                yield record(r=r, n=n, closed_form_ok=closed_ok, complement_ok=comp_ok)
-
-    def human(rec: dict) -> str:
-        closed, comp = ("ok" if rec[key] else "FAIL" for key in ("closed_form_ok", "complement_ok"))
-        return f"(r={rec['r']}, n={rec['n']}) closed_form={closed} complement={comp}"
+                rec = record(r=r, n=n, closed_form_ok=closed_ok, complement_ok=comp_ok)
+                closed, comp = ("ok" if ok else "FAIL" for ok in (closed_ok, comp_ok))
+                yield _line(args.format, rec, f"(r={r}, n={n}) closed_form={closed} complement={comp}")
 
     def status() -> int:
         print(f"identity grid r<={r_max}, n<={n_max}: {bad} violations", file=sys.stderr)
         return EXIT_FOUND if bad else EXIT_OK
 
-    return records(), human, status
+    return lines(), status
 
 
 def _cmd_certify(args) -> _Output:
     r = _positive("r", args.r)
     n = _positive("n", args.n)
     counts, text = _classify_chunk((r, range(n, n + 1), args.format))
-    return [text], to_human_line, lambda: EXIT_FOUND if counts["integral"] else EXIT_OK
+    return [text], lambda: EXIT_FOUND if counts["integral"] else EXIT_OK
 
 
 def _classify_chunk(task: tuple[int, range, str]) -> tuple[Counter, str]:
@@ -258,7 +253,7 @@ def _cmd_scan(args) -> _Output:
     present = 0  # stored lines that are the records this scan writes
     t0 = time.perf_counter()
 
-    def records():
+    def lines():
         """Each chunk's text less what a resumed file holds, whose k-th line
         must be the bytes of the record for n = n_start + k - 1, with no line
         after n_end's, or a torn final line that begins its record (it is cut
@@ -303,7 +298,7 @@ def _cmd_scan(args) -> _Output:
             return EXIT_FOUND
         return EXIT_OK
 
-    return records(), to_human_line, status
+    return lines(), status
 
 
 def _cmd_lemma2(args) -> _Output:
@@ -327,7 +322,7 @@ def _cmd_lemma2(args) -> _Output:
         f"r={r}: interval [{lo}, {hi}] holds {result.interval_primes} primes "
         f"({result.order_passed} pass the order filter); {found}"
     )
-    return [rec], lambda _: human, lambda: EXIT_OK
+    return [_line(args.format, rec, human)], lambda: EXIT_OK
 
 
 def _cmd_census(args) -> _Output:
@@ -335,7 +330,7 @@ def _cmd_census(args) -> _Output:
     count, primes = small_order_census(t)
     rec = record(t=t, count=count, primes=primes)
     listing = f": {primes}" if primes else ""
-    return [rec], lambda _: f"census t={t}: {count} small-order primes{listing}", lambda: EXIT_OK
+    return [_line(args.format, rec, f"census t={t}: {count} small-order primes{listing}")], lambda: EXIT_OK
 
 
 def _cmd_msmooth(args) -> _Output:
@@ -345,7 +340,7 @@ def _cmd_msmooth(args) -> _Output:
     rec = record(r=r, n_max=n_max, m_max=stats.m_max, argmax_n=stats.argmax_n, exceeds_log=stats.exceeds_log)
     side = "exceeds" if stats.exceeds_log else "within"
     human = f"M_{r}(n) over n<={n_max}: max {stats.m_max} at n={stats.argmax_n} ({side} log2(r))"
-    return [rec], lambda _: human, lambda: EXIT_OK
+    return [_line(args.format, rec, human)], lambda: EXIT_OK
 
 
 def _cmd_gaps(args) -> _Output:
@@ -355,7 +350,7 @@ def _cmd_gaps(args) -> _Output:
     vs20, vs11 = names[probe.gap20_vs_n], names[probe.gap11_vs_n]
     rec = record(n=n, next_prime=probe.next_prime, gap=probe.gap, gap20_vs_n=vs20, gap11_vs_n=vs11)
     human = f"next prime after {n} is {probe.next_prime} (gap {probe.gap}; gap**20 {vs20} n, gap**11 {vs11} n)"
-    return [rec], lambda _: human, lambda: EXIT_OK
+    return [_line(args.format, rec, human)], lambda: EXIT_OK
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -363,15 +358,15 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         # Handlers check their arguments before --out is opened: a rejected call leaves files alone.
         args.resuming = _resuming(args)  # refuses a non-empty --out unless a jsonl scan resumes it
-        records, human, status = args.handler(args)
+        lines, status = args.handler(args)
         if args.out is None:
             target = contextlib.nullcontext(sys.stdout)
-        else:  # a new or empty file, or a scan file whose stored lines records() checks before any write
+        else:  # a new or empty file, or a scan file whose stored lines lines() checks before any write
             target = open(args.out, "a", encoding="utf-8", newline="")
         with target as stream:
-            writer = _Writer(stream, args.format, human)
-            for rec in records:
-                writer.write(rec)
+            writer = _Writer(stream, args.format)
+            for text in lines:
+                writer.write(text)
         return status()
     except (OSError, ValueError) as exc:
         print(f"binsum: error: {exc}", file=sys.stderr)

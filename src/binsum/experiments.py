@@ -146,7 +146,7 @@ def verify_tuple(w: TupleWitness, gcd_exp: tuple[int, int] = GCD_EXP) -> TupleCh
     inum, iden = INTERVAL_EXP
     orders: list[int] = []  # recomputed, never read from w.orders
     for idx, p in enumerate(w.primes):
-        if p <= 2 or p >= U64_LIMIT or not is_prime(p) or p % 2 == 0:
+        if p <= 2 or p >= U64_LIMIT or not is_prime(p):
             fails.append(f"p={p} is not an odd prime")
             continue
         if p <= r or power_compare(p - r, r, inum, iden) > 0:

@@ -28,31 +28,24 @@ _TINY_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _TRIAL_LIMIT = 1000          # trial-divide by all primes below this first
 _SEGMENT = 1 << 18           # segment width for windowed sieving
 
-_small_primes: list[int] = []
-_small_limit = 0
+# primes_upto's cache: every prime <= _small_limit, ascending
+_small_primes = [2, 3, 5, 7]
+_small_limit = 10
 
 
 def primes_upto(n: int) -> list[int]:
-    """All primes <= n, ascending.  Backed by a growing cached sieve."""
+    """All primes <= n, ascending, served for every n < 2**26 (primes_in
+    refuses a growth wider than WINDOW_LIMIT).  A call above the cache grows
+    it to the next power of two, limit, by primes_in(_small_limit + 1, limit).
+    That call may grow the cache first, which is safe: the old list is read
+    before primes_in runs, and primes_in needs only the primes <= isqrt(limit),
+    so the nested calls end at the seeded primes <= 10."""
     global _small_primes, _small_limit
     if n > _small_limit:
-        limit = max(2048, 1 << n.bit_length())
-        sieve = bytearray([1]) * (limit + 1)
-        sieve[0] = sieve[1] = 0
-        for p in range(2, math.isqrt(limit) + 1):
-            if sieve[p]:
-                sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-        primes = [i for i, f in enumerate(sieve) if f]
-        # publish the list before raising the limit so concurrent readers
-        # never see a short list with a high limit
-        _small_primes = primes
+        limit = 1 << n.bit_length()
+        _small_primes = _small_primes + primes_in(_small_limit + 1, limit)
         _small_limit = limit
     return _small_primes[: bisect_right(_small_primes, n)]
-
-
-_TRIAL_PRIMES = tuple(primes_upto(_TRIAL_LIMIT))
-_TRIAL_SET = frozenset(_TRIAL_PRIMES)
-_TRIAL_PRODUCT = math.prod(_TRIAL_PRIMES)
 
 
 def is_prime(m: int) -> bool:
@@ -257,3 +250,8 @@ def primes_in(a: int, b: int) -> list[int]:
         out.extend(lo + i for i, f in enumerate(seg) if f)
         lo = hi + 1
     return out
+
+
+_TRIAL_PRIMES = tuple(primes_upto(_TRIAL_LIMIT))
+_TRIAL_SET = frozenset(_TRIAL_PRIMES)
+_TRIAL_PRODUCT = math.prod(_TRIAL_PRIMES)

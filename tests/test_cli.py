@@ -70,8 +70,7 @@ def test_scan_sorted_and_thread_and_format_invariant(fmt, dest, tmp_path, capsys
     import io
 
     from binsum.certify import classify
-    from binsum.cli import _Writer
-    from binsum.records import CSV_COLUMNS, classification_record, to_csv_row, to_human_line
+    from binsum.records import CSV_COLUMNS, classification_record, to_csv_row, to_human_line, to_json_line
 
     r, n_end = 6, 1300
 
@@ -94,10 +93,9 @@ def test_scan_sorted_and_thread_and_format_invariant(fmt, dest, tmp_path, capsys
         reference = csv.writer(expected, lineterminator="\n")
         reference.writerow(CSV_COLUMNS)
         reference.writerows(to_csv_row(rec) for rec in records)
-    else:  # the per-record path that the other commands' records take
-        writer = _Writer(expected, fmt, to_human_line)
-        for rec in records:
-            writer.write(rec)
+    else:  # the general per-record path
+        line = to_json_line if fmt == "jsonl" else to_human_line
+        expected.writelines(line(rec) + "\n" for rec in records)
     assert one == expected.getvalue().splitlines(keepends=True)
     if fmt == "jsonl":
         ns = [json.loads(line)["n"] for line in one]
@@ -336,6 +334,17 @@ def test_identity_exit_1_on_violation(monkeypatch, capsys):
     got = capsys.readouterr()
     assert "1 violations" in got.err
     assert [json.loads(line)["complement_ok"] for line in got.out.splitlines()].count(False) == 1
+
+
+def test_identity_human_line_names_the_failed_check(monkeypatch, capsys):
+    import binsum.cli as cli_mod
+
+    true_lower = cli_mod.s_lower
+    monkeypatch.setattr(cli_mod, "s_lower", lambda r, n: true_lower(r, n) + ((r, n) == (2, 3)))
+    assert run_cli(["identity", "--r-max", "2", "--n-max", "3", "--format", "human"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 6
+    assert [line for line in out if "FAIL" in line] == ["(r=2, n=3) closed_form=ok complement=FAIL"]
 
 
 def test_identity_evaluates_each_sum_once_per_grid_point(monkeypatch, capsys):

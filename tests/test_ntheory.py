@@ -88,6 +88,29 @@ def test_primes_upto_matches_trial_division():
     assert primes_upto(100) == [m for m in range(2, 101) if trial_is_prime(m)]
 
 
+def plain_sieve(n):
+    sieve = bytearray([1]) * (n + 1)
+    sieve[0] = sieve[1] = 0
+    for p in range(2, math.isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
+    return [m for m, f in enumerate(sieve) if f]
+
+
+def test_primes_upto_grows_its_cache_to_a_plain_sieve(monkeypatch):
+    # each call from the seeded cache grows it, by primes_in, through each power of two
+    monkeypatch.setattr(ntheory, "_small_primes", [2, 3, 5, 7])
+    monkeypatch.setattr(ntheory, "_small_limit", 10)
+    reference = plain_sieve((1 << 13) + 1)
+    for n in [0, 1, 2] + [m for k in range(1, 14) for m in ((1 << k) - 1, 1 << k, (1 << k) + 1)]:
+        assert primes_upto(n) == reference[: bisect.bisect_right(reference, n)], n
+    # from the seeded cache, one call grows it to 2**23 and, nested in that
+    # growth, to the 2**12 its base primes need
+    monkeypatch.setattr(ntheory, "_small_primes", [2, 3, 5, 7])
+    monkeypatch.setattr(ntheory, "_small_limit", 10)
+    assert primes_upto(1 << 22) == plain_sieve(1 << 22)
+
+
 def test_factorize_examples():
     assert factorize(360) == [(2, 3), (3, 2), (5, 1)]
     assert factorize(97) == [(97, 1)]
