@@ -66,33 +66,33 @@ def _check_instance(r: int, n: int) -> None:
         raise ValueError(f"instance exceeds the 2**64 scan domain: (r={r}, n={n})")
 
 
-def s_lower(r: int, n: int) -> Fraction:
-    """Exact value of sum_{k=1..n} k/(k+r) * C(n, k)."""
-    _check_instance(r, n)
-    if n > ORACLE_CUTOFF:
-        raise ValueError(f"n={n} exceeds the evaluation cutoff {ORACLE_CUTOFF}")
-    den = reduce(lcm, range(r + 1, n + r + 1), 1)
-    total = 0
-    c = 1  # C(n, k), starting at k = 0
-    for k in range(1, n + 1):
-        c = c * (n - k + 1) // k
-        total += k * c * (den // (k + r))
-    return Fraction(total, den)
-
-
-def s_upper(r: int, n: int) -> Fraction:
-    """Exact value of sum_{k=0..n} r/(k+r) * C(n, k) by direct summation."""
+def s_sums(r: int, n: int) -> tuple[Fraction, Fraction]:
+    """Exact (s_lower(r, n), s_upper(r, n)) by one direct summation over
+    the common denominator den = lcm(r, ..., n + r): with
+    term_k = C(n, k) * den / (k + r), s_lower = sum k * term_k / den and
+    s_upper = r * sum term_k / den."""
     _check_instance(r, n)
     if n > ORACLE_CUTOFF:
         raise ValueError(f"n={n} exceeds the evaluation cutoff {ORACLE_CUTOFF}")
     den = reduce(lcm, range(r, n + r + 1), 1)
-    total = 0
-    c = 1
-    for k in range(0, n + 1):
-        if k:
-            c = c * (n - k + 1) // k
-        total += r * c * (den // (k + r))
-    return Fraction(total, den)
+    lower, upper = 0, den // r  # the k = 0 term
+    c = 1  # C(n, k), starting at k = 0
+    for k in range(1, n + 1):
+        c = c * (n - k + 1) // k
+        term = c * (den // (k + r))
+        lower += k * term
+        upper += term
+    return Fraction(lower, den), Fraction(r * upper, den)
+
+
+def s_lower(r: int, n: int) -> Fraction:
+    """Exact value of sum_{k=1..n} k/(k+r) * C(n, k)."""
+    return s_sums(r, n)[0]
+
+
+def s_upper(r: int, n: int) -> Fraction:
+    """Exact value of sum_{k=0..n} r/(k+r) * C(n, k) by direct summation."""
+    return s_sums(r, n)[1]
 
 
 def s_upper_closed(r: int, n: int) -> Fraction:

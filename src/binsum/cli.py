@@ -40,6 +40,7 @@ from .certify import (
     _check_instance,
     classify,
     s_lower,
+    s_sums,
     s_upper,
     s_upper_closed,
 )
@@ -149,7 +150,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--gcd-exp", type=str, default="%d/%d" % GCD_EXP, metavar="NUM/DEN")
 
-    p = sub.add_parser("census", help="odd primes q <= t with order2(q) <= q**0.3")
+    p = sub.add_parser(
+        "census",
+        help="odd primes q <= t with order2(q) <= q**0.3",
+        description="Odd primes q <= t with order2(q) <= q**0.3. Each prime costs one reduced power of 2 mod q; "
+        "order2 runs only on the few that pass it.",
+    )
     p.set_defaults(handler=_cmd_census)
     p.add_argument("--t", type=int, required=True)
 
@@ -196,9 +202,9 @@ def _cmd_identity(args) -> _Output:
         nonlocal bad
         for r in range(1, r_max + 1):
             for n in range(1, n_max + 1):
-                upper = s_upper(r, n)
+                lower, upper = s_sums(r, n)
                 closed_ok = upper == s_upper_closed(r, n)
-                comp_ok = s_lower(r, n) + upper == 1 << n
+                comp_ok = lower + upper == 1 << n
                 bad += not (closed_ok and comp_ok)
                 rec = record(r=r, n=n, closed_form_ok=closed_ok, complement_ok=comp_ok)
                 closed, comp = ("ok" if ok else "FAIL" for ok in (closed_ok, comp_ok))

@@ -225,12 +225,28 @@ def scan_density(r: int, n_lo: int, n_hi: int) -> ScanReport:
 
 def small_order_census(t: int) -> tuple[int, list[int]]:
     """Count (and list) the odd primes q <= t whose order of 2 is at most
-    q**0.3, i.e. order2(q)**10 <= q**3."""
+    q**0.3, i.e. order2(q)**10 <= q**3.
+
+    Each prime costs one reduced power: with K = floor(t**0.3) and
+    L = lcm(1, ..., K), computed once, q is kept only if
+    pow(2, L mod (q - 1), q) == 1, and order2 decides the few it keeps.  No
+    hit is lost.  If order2(q)**10 <= q**3 <= t**3, then order2(q) <= K, so
+    order2(q) | L and 2**L == 1 (mod q).  By Fermat, 2**(q - 1) == 1 (mod q),
+    so 2**L == 2**(L mod (q - 1)) (mod q).  At CENSUS_LIMIT, K = 125 and L
+    has 176 bits.
+    """
     if t < 1:
         raise ValueError(f"census bound must be >= 1: got {t}")
     if t > CENSUS_LIMIT:
         raise ValueError(f"census bound {t} exceeds limit {CENSUS_LIMIT}")
-    hits = [q for q in primes_in(3, t) if power_compare(order2(q), q, 3, 10) <= 0] if t >= 3 else []
+    if t < 3:
+        return 0, []
+    big_l = lcm(*range(1, floor_power(t, 3, 10) + 1))
+    hits = [
+        q
+        for q in primes_in(3, t)
+        if pow(2, big_l % (q - 1), q) == 1 and power_compare(order2(q), q, 3, 10) <= 0
+    ]
     return len(hits), hits
 
 

@@ -20,7 +20,7 @@ U64_LIMIT = 1 << 64
 WINDOW_LIMIT = 10**8
 _DENSE_ROOT_LIMIT = 1 << 22
 
-# Deterministic Miller-Rabin witnesses for every m < 3.3 * 10**24 > 2**64.
+# Sinclair's seven Miller-Rabin bases, deterministic for every m < 2**64.
 _MR_WITNESSES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 
 _TINY_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -31,16 +31,22 @@ _SEGMENT = 1 << 18           # segment width for windowed sieving
 # primes_upto's cache: every prime <= _small_limit, ascending
 _small_primes = [2, 3, 5, 7]
 _small_limit = 10
+_SMALL_CEILING = 1 << 26
 
 
 def primes_upto(n: int) -> list[int]:
-    """All primes <= n, ascending, served for every n < 2**26 (primes_in
-    refuses a growth wider than WINDOW_LIMIT).  A call above the cache grows
-    it to the next power of two, limit, by primes_in(_small_limit + 1, limit).
-    That call may grow the cache first, which is safe: the old list is read
-    before primes_in runs, and primes_in needs only the primes <= isqrt(limit),
-    so the nested calls end at the seeded primes <= 10."""
+    """All primes <= n, ascending, for every n < 2**26; any larger n raises
+    ValueError, whatever the cache holds.  From an unwarmed cache, growing
+    to 2**27 would sieve a window wider than WINDOW_LIMIT, so the answer for
+    2**26 <= n < 2**27 would otherwise depend on earlier calls.  A call above
+    the cache grows it to the next power of two, limit, by
+    primes_in(_small_limit + 1, limit).  That call may grow the cache first,
+    which is safe: the old list is read before primes_in runs, and primes_in
+    needs only the primes <= isqrt(limit), so the nested calls end at the
+    seeded primes <= 10."""
     global _small_primes, _small_limit
+    if n >= _SMALL_CEILING:
+        raise ValueError(f"primes_upto serves n < 2**26: got {n}")
     if n > _small_limit:
         limit = 1 << n.bit_length()
         _small_primes = _small_primes + primes_in(_small_limit + 1, limit)
@@ -60,7 +66,9 @@ def is_prime(m: int) -> bool:
     iff m is one of those primes.  If g = 1, m has no prime factor below
     1000.  A composite m has a prime factor <= isqrt(m), so such a composite
     is >= 1009**2 (1009 is the least prime above 1000) > 10**6.  Hence
-    every m < 10**6 with g = 1 is 1 or a prime.
+    every m < 10**6 with g = 1 is 1 or a prime.  Above that, Miller-Rabin to
+    the seven bases of _MR_WITNESSES is exact: Sinclair's set has no strong
+    pseudoprime below 2**64.
     """
     if not 1 <= m < U64_LIMIT:
         raise ValueError(f"is_prime domain is [1, 2**64): got {m}")

@@ -65,9 +65,10 @@ def test_c2_proved_range_sweep(monkeypatch):
     import binsum.certify
 
     def refuse(r, n):
-        raise AssertionError(f"classify evaluated s_lower({r}, {n})")
+        raise AssertionError(f"classify evaluated the sums at ({r}, {n})")
 
-    monkeypatch.setattr(binsum.certify, "s_lower", refuse)  # every decision is a certificate
+    # every decision is a certificate; s_lower and s_upper both go through s_sums
+    monkeypatch.setattr(binsum.certify, "s_sums", refuse)
     integral = []
     for r in range(1, 23):
         for n in range(1, 1501):

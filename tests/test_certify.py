@@ -38,10 +38,10 @@ def test_s_lower_examples():
 def test_s_lower_matches_termwise_sum():
     from math import comb
 
-    for r in (1, 2, 7, 23):
-        for n in (1, 2, 13, 40):
-            direct = sum(Fraction(k, k + r) * comb(n, k) for k in range(1, n + 1))
-            assert s_lower(r, n) == direct
+    for r, n in [(r, n) for r in (1, 2, 7, 23) for n in (1, 2, 13, 40)] + [(10**18 + 9, 5)]:
+        direct = sum(Fraction(k, k + r) * comb(n, k) for k in range(1, n + 1))
+        assert s_lower(r, n) == direct
+        assert s_upper(r, n) == sum(Fraction(r, k + r) * comb(n, k) for k in range(0, n + 1))
 
 
 def test_s_upper_examples():

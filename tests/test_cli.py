@@ -325,11 +325,21 @@ def test_golden_output(case, dest, tmp_path, capsys):
         assert got.out == want["stdout"]
 
 
-def test_identity_exit_1_on_violation(monkeypatch, capsys):
+def _forge_lower_at_2_3(monkeypatch):
+    """Make identity see s_lower(2, 3) off by one, and every other sum true."""
     import binsum.cli as cli_mod
 
-    true_lower = cli_mod.s_lower
-    monkeypatch.setattr(cli_mod, "s_lower", lambda r, n: true_lower(r, n) + ((r, n) == (2, 3)))
+    true_sums = cli_mod.s_sums
+
+    def forged(r, n):
+        lower, upper = true_sums(r, n)
+        return lower + ((r, n) == (2, 3)), upper
+
+    monkeypatch.setattr(cli_mod, "s_sums", forged)
+
+
+def test_identity_exit_1_on_violation(monkeypatch, capsys):
+    _forge_lower_at_2_3(monkeypatch)
     assert run_cli(["identity", "--r-max", "2", "--n-max", "3"]) == 1
     got = capsys.readouterr()
     assert "1 violations" in got.err
@@ -337,10 +347,7 @@ def test_identity_exit_1_on_violation(monkeypatch, capsys):
 
 
 def test_identity_human_line_names_the_failed_check(monkeypatch, capsys):
-    import binsum.cli as cli_mod
-
-    true_lower = cli_mod.s_lower
-    monkeypatch.setattr(cli_mod, "s_lower", lambda r, n: true_lower(r, n) + ((r, n) == (2, 3)))
+    _forge_lower_at_2_3(monkeypatch)
     assert run_cli(["identity", "--r-max", "2", "--n-max", "3", "--format", "human"]) == 1
     out = capsys.readouterr().out.splitlines()
     assert len(out) == 6
@@ -351,7 +358,7 @@ def test_identity_evaluates_each_sum_once_per_grid_point(monkeypatch, capsys):
     import binsum.certify as certify_mod
     import binsum.cli as cli_mod
 
-    calls = {"s_lower": 0, "s_upper": 0, "s_upper_closed": 0}
+    calls = {"s_lower": 0, "s_sums": 0, "s_upper": 0, "s_upper_closed": 0}
 
     def counted(name, fn):
         def spy(*args, **kwargs):
@@ -364,7 +371,7 @@ def test_identity_evaluates_each_sum_once_per_grid_point(monkeypatch, capsys):
             monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     assert run_cli(["identity", "--r-max", "2", "--n-max", "3"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 6
-    assert calls == {"s_lower": 6, "s_upper": 6, "s_upper_closed": 6}
+    assert calls == {"s_lower": 0, "s_sums": 6, "s_upper": 0, "s_upper_closed": 6}
 
 
 @pytest.mark.parametrize("argv", [

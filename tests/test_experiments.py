@@ -8,7 +8,7 @@ from math import gcd
 
 import pytest
 
-from binsum.exact import power_compare
+from binsum.exact import ceil_power, floor_power, power_compare
 from binsum.experiments import (
     GCD_EXP,
     INTERVAL_EXP,
@@ -156,6 +156,43 @@ def test_census_examples():
     assert small_order_census(2) == (0, [])
     count, primes = small_order_census(10**4)
     assert count == 1 and primes == [8191]  # order2(8191) = 13 and 13**10 <= 8191**3
+
+
+CENSUS_CHECK_T = 2 * 10**5
+
+
+@pytest.fixture(scope="module")
+def plain_census():
+    """The census by its definition, up to the largest t the tests below ask."""
+    t = max(CENSUS_CHECK_T, ceil_power(40, 10, 3))
+    return [q for q in primes_in(3, t) if power_compare(order2(q), q, 3, 10) <= 0]
+
+
+def test_census_equals_its_definition(plain_census):
+    assert small_order_census(CENSUS_CHECK_T)[1] == [q for q in plain_census if q <= CENSUS_CHECK_T]
+
+
+@pytest.mark.parametrize("k", range(2, 41))
+def test_census_equals_its_definition_where_the_lcm_bound_steps(plain_census, k):
+    # K = floor(t**0.3) is k - 1 at t = ceil(k**(10/3)) - 1 and k at t
+    t = ceil_power(k, 10, 3)
+    for bound, big_k in ((t - 1, k - 1), (t, k)):
+        assert floor_power(bound, 3, 10) == big_k
+        expected = [q for q in plain_census if q <= bound]
+        assert small_order_census(bound) == (len(expected), expected)
+
+
+def test_census_filter_keeps_every_small_order_prime(plain_census):
+    # the lemma behind the filter, at the census bound and at the tightest
+    # bound t = q: order2(q) <= K divides L = lcm(1..K), so
+    # 2**(L mod (q - 1)) == 1 (mod q)
+    hits = [q for q in plain_census if q <= CENSUS_CHECK_T]
+    assert hits
+    for q in hits:
+        for t in (CENSUS_CHECK_T, q):
+            big_k = floor_power(t, 3, 10)
+            assert order2(q) <= big_k
+            assert pow(2, math.lcm(*range(1, big_k + 1)) % (q - 1), q) == 1
 
 
 def test_census_keeps_nothing_after_it_returns():

@@ -111,6 +111,17 @@ def test_primes_upto_grows_its_cache_to_a_plain_sieve(monkeypatch):
     assert primes_upto(1 << 22) == plain_sieve(1 << 22)
 
 
+@pytest.mark.parametrize("limit", [1 << 26, 1 << 27])
+def test_primes_upto_refuses_2_26_whatever_the_cache_holds(monkeypatch, limit):
+    # a cache grown past 2**26 (faked here: the list is never read) must not
+    # turn the refusal into an answer
+    monkeypatch.setattr(ntheory, "_small_primes", [2, 3, 5, 7])
+    monkeypatch.setattr(ntheory, "_small_limit", limit)
+    for n in (1 << 26, (1 << 27) - 1):
+        with pytest.raises(ValueError, match="2\\*\\*26"):
+            primes_upto(n)
+
+
 def test_factorize_examples():
     assert factorize(360) == [(2, 3), (3, 2), (5, 1)]
     assert factorize(97) == [(97, 1)]
