@@ -45,8 +45,9 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
+from itertools import islice
 from math import comb, lcm
-from typing import Optional, Union, get_args
+from typing import Optional, Sequence, Union, get_args
 
 from .exact import _int_valuation
 from .ntheory import U64_LIMIT, _TRIAL_LIMIT, _TRIAL_PRIMES, _factorize, is_prime, next_prime, primes_upto
@@ -232,12 +233,26 @@ def sylvester_certificate(r: int, n: int) -> Optional[SylvesterPrime]:
     return _sylvester_prime(p, v - r)
 
 
+# order_certificate walks the primes below this bound before it factors.
+_ORDER_WALK_BOUND = 1 << 16
+
+
+def _order_walk(primes: Sequence[int], r: int, n: int) -> Optional[OrderCertificate]:
+    """The first prime q > r of the ascending primes that qualifies for an
+    order certificate, tested by one reduced power (order_certificate)."""
+    for q in islice(primes, bisect_right(primes, r), None):
+        j = -n % q or q
+        if j <= r and pow(2, (n + j) % (q - 1) + q - 1, q) != 1:
+            return OrderCertificate(p=q, j=j)
+    return None
+
+
 def order_certificate(r: int, n: int) -> Optional[OrderCertificate]:
     """Smallest prime p > r dividing some n + j (1 <= j <= r) with
     order2(p) not dividing n + j, with its (unique) j, or None.
 
     The order condition is 2**(n + j) != 1 (mod p) (see OrderCertificate
-    for the equivalence and for p = 2).  The fast path reduces the exponent:
+    for the equivalence and for p = 2).  The walk reduces the exponent:
     with m = n + j, s = m mod (q - 1) and e = s + q - 1, it tests
     pow(2, e, q) != 1.  For odd q, 2**(q - 1) == 1 (mod q) by Fermat, so
     2**m = (2**(q - 1))**(m // (q - 1)) * 2**s == 2**s == 2**e (mod q).
@@ -246,20 +261,22 @@ def order_certificate(r: int, n: int) -> Optional[OrderCertificate]:
     give pow(2, 0, 2) = 1.  The factoring search and OrderCertificate.verify
     keep the unreduced power, so verify stays an independent re-check.
 
-    Fast path: walk the primes q in (r, _TRIAL_LIMIT) ascending.  As q > r,
-    at most one n + j (1 <= j <= r) is a multiple of q: the one with
-    j = (-n mod q) or q, provided j <= r.  The first q that qualifies is the
-    smallest qualifying prime overall: the smaller primes above r were
-    examined and failed, the primes <= r never qualify, and every prime not
-    examined is >= _TRIAL_LIMIT > q.  Only when none qualifies does the
-    search factor every n + j.  That search is complete on its own and is
-    the reference the tests compare the fast path against.
+    The walk tries the primes q > r ascending, first those below
+    _TRIAL_LIMIT, then those in [_TRIAL_LIMIT, _ORDER_WALK_BOUND = 2**16).
+    As q > r, at most one n + j (1 <= j <= r) is a multiple of q: the one
+    with j = (-n mod q) or q, provided j <= r.  The first q that qualifies
+    is the smallest qualifying prime overall: the smaller primes above r
+    were examined and failed, the primes <= r never qualify, and every prime
+    not examined is >= 2**16 > q.  Only when no prime below 2**16 qualifies
+    does the search factor every n + j.  That search is complete on its own
+    and is the reference the tests compare the walk against.  Its minimum
+    is then a prime >= 2**16, the least qualifying prime overall as well, so
+    the result does not depend on where the walk stops.
     """
     _check_instance(r, n)
-    for q in _TRIAL_PRIMES[bisect_right(_TRIAL_PRIMES, r) :]:
-        j = -n % q or q
-        if j <= r and pow(2, (n + j) % (q - 1) + q - 1, q) != 1:
-            return OrderCertificate(p=q, j=j)
+    found = _order_walk(_TRIAL_PRIMES, r, n) or _order_walk(primes_upto(_ORDER_WALK_BOUND - 1)[len(_TRIAL_PRIMES) :], r, n)
+    if found is not None:
+        return found
     qualifying = ((q, j) for j in range(1, r + 1) for q, _ in _factorize(n + j) if q > r and pow(2, n + j, q) != 1)
     best = min(qualifying, default=None)
     return OrderCertificate(p=best[0], j=best[1]) if best else None

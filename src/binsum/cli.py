@@ -227,12 +227,23 @@ def _cmd_certify(args) -> _Output:
 def _classify_chunk(task: tuple[int, range, str]) -> tuple[Counter, str]:
     """Classify a chunk of n and format its records where it ran: returns
     the count of each classification and the chunk's lines in the format,
-    newline-terminated (csv without the header, which the writer adds)."""
+    newline-terminated (csv without the header, which the writer adds).
+    classify runs once per n.  Consecutive n that share an outcome object,
+    as a sylvester run does, format their common parts once (LINE_FORMATS)."""
     r, ns, fmt = task
-    line = LINE_FORMATS[fmt]
-    outcomes = [(n, classify(r, n)) for n in ns]
-    counts = Counter(classification_kind(outcome) for _, outcome in outcomes)
-    return counts, "".join(line(r, n, outcome) + "\n" for n, outcome in outcomes)
+    parts = LINE_FORMATS[fmt]
+    counts: Counter = Counter()
+    lines = []
+    outcome = None
+    for n in ns:
+        if (new := classify(r, n)) is not outcome:
+            outcome = new
+            head, tail = parts(r, outcome)
+            kind = classification_kind(outcome)
+        counts[kind] += 1
+        lines.append(f"{head}{n}{tail}")
+    lines.append("")  # the last line's newline
+    return counts, "\n".join(lines)
 
 
 def _resuming(args) -> bool:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from itertools import compress
 from typing import Optional
 
 U64_LIMIT = 1 << 64
@@ -98,33 +99,63 @@ def is_prime(m: int) -> bool:
     return True
 
 
-# next_prime's memo (n0, P): (n0, P) holds no prime, and P is prime or is
-# U64_LIMIT, which stands for "none below 2**64".
-_next_prime_memo = (0, 2)
+# next_prime's memo (n0, P, window).  window = (w, p1, ..., pk): p1 < ... < pk
+# are all the primes in (w, pk], except that pk may be U64_LIMIT, which stands
+# for "none below 2**64".  (n0, P) are consecutive entries of window, so
+# (n0, P) holds no prime.
+_next_prime_memo: tuple[int, int, tuple[int, ...]] = (0, 2, (0, 2))
+
+# next_prime sieves the window (n, n + _PRIME_WINDOW] while its base primes
+# are the primes below _PRIME_WINDOW, that is while n + _PRIME_WINDOW < 2**24.
+_PRIME_WINDOW = 1 << 12
 
 
 def next_prime(n: int) -> Optional[int]:
     """Least prime above n, for 0 <= n < 2**64; None when (n, 2**64) holds
     no prime (n >= 2**64 - 59, the largest prime below 2**64).
 
-    The memo (n0, P) answers every n with n0 <= n < P at once: no prime
-    lies in (n0, P), so none lies in (n, P) either.  Any other n walks
-    n+1, n+2, ... with is_prime and stores (n, P') for the prime P' it finds,
-    or (n, 2**64) when it finds none.  A scan over increasing n thus tests
-    each integer once: at n = P it walks on from P + 1, which no earlier
-    walk reached.  The answer depends on n alone, whatever was asked before.
+    The memo (n0, P, window) answers every n with n0 <= n < P at once: no
+    prime lies in (n0, P), so none lies in (n, P) either.  An n that window
+    covers, w <= n < pk, takes by bisection the least p_i above n, which is
+    the answer as window holds every prime in (w, pk]; the memo's (n0, P)
+    become that p_i and the entry before it.  Any other n fills a new window
+    from n.  For n + W < W**2 (W = _PRIME_WINDOW = 4096, so
+    n < 2**24 - 4096) that is (n, *primes_in(n + 1, n + W)), when the
+    sieved window holds a prime.  Otherwise a walk tests n+1, n+2, ... with
+    is_prime and makes the window (n, P') of the prime P' it finds, or
+    (n, 2**64) when it finds none.  Each memo keeps the invariants above,
+    so the answer depends on n alone, whatever was asked before.  A scan
+    over increasing n sieves or tests each integer once: it leaves a window
+    only at n = pk, and the next window starts there.
+
+    Why the window and its rule: a sieve pass costs a slice per base prime,
+    whatever the window's width, and then a fraction of a microsecond per
+    integer, against about a microsecond per is_prime test of the walk.
+    Under the rule the base primes are the 564 primes below 4096, and a
+    4096-wide window costs less than the walk over its integers.  A
+    65 536-wide window was not measurably faster on scans, and it slowed
+    callers that ask for scattered n, each of which pays for a whole
+    window.  Above the rule the base primes grow with sqrt(n): near 10**12
+    a window this narrow costs several times the walk, so larger n keep
+    the walk.
     """
     global _next_prime_memo
-    n0, p = _next_prime_memo
+    n0, p, window = _next_prime_memo
     if not n0 <= n < p:
-        if not 0 <= n < U64_LIMIT:
-            raise ValueError(f"next_prime domain is [0, 2**64): got {n}")
-        for p in range(n + 1, U64_LIMIT):
-            if is_prime(p):
-                break
-        else:
-            p = U64_LIMIT
-        _next_prime_memo = (n, p)
+        if not window[0] <= n < window[-1]:
+            if not 0 <= n < U64_LIMIT:
+                raise ValueError(f"next_prime domain is [0, 2**64): got {n}")
+            window = (n, *primes_in(n + 1, n + _PRIME_WINDOW)) if n + _PRIME_WINDOW < _PRIME_WINDOW**2 else ()
+            if len(window) < 2:
+                for p in range(n + 1, U64_LIMIT):
+                    if is_prime(p):
+                        break
+                else:
+                    p = U64_LIMIT
+                window = (n, p)
+        i = bisect_right(window, n, 1)
+        p = window[i]
+        _next_prime_memo = (window[i - 1], p, window)
     return p if p < U64_LIMIT else None
 
 
@@ -255,7 +286,7 @@ def primes_in(a: int, b: int) -> list[int]:
                 break
             start = max(p * p, (lo + p - 1) // p * p)  # <= hi + p - 1: count >= 0
             seg[start - lo :: p] = bytearray((hi - start) // p + 1)
-        out.extend(lo + i for i, f in enumerate(seg) if f)
+        out += compress(range(lo, hi + 1), seg)
         lo = hi + 1
     return out
 

@@ -90,22 +90,32 @@ def to_json_line(rec: dict) -> str:
     return _JSON.encode(rec)
 
 
-# to_json_line(classification_record(...)) of a certified outcome, with the
-# keys in sorted order: the certificate's fields, classification, n, r.
-_SYLVESTER_LINE = '{"certificate":{"k0":"%d","p":"%d","type":"sylvester"},"classification":"certified_nonintegral","n":"%d","r":"%d"}'
-_ORDER_LINE = '{"certificate":{"j":"%d","p":"%d","type":"order"},"classification":"certified_nonintegral","n":"%d","r":"%d"}'
+# The jsonl line of a certified outcome up to n's value: to_json_line's keys
+# sort as certificate (its fields), classification, n, r.
+_SYLVESTER_HEAD = '{"certificate":{"k0":"%d","p":"%d","type":"sylvester"},"classification":"certified_nonintegral","n":"'
+_ORDER_HEAD = '{"certificate":{"j":"%d","p":"%d","type":"order"},"classification":"certified_nonintegral","n":"'
+
+
+def _json_parts(r: int, outcome: Classification) -> tuple[str, str]:
+    """(head, tail) of the jsonl line head + decimal n + tail, byte for byte
+    to_json_line(classification_record(r, n, outcome)).  r is the last key
+    and n the one before it, so the tail is r's alone.  A sylvester or order
+    outcome fills a fixed head; the rare others cut the encoder's line."""
+    if type(outcome) is SylvesterPrime:
+        head = _SYLVESTER_HEAD % (outcome.k0, outcome.p)
+    elif type(outcome) is OrderCertificate:
+        head = _ORDER_HEAD % (outcome.j, outcome.p)
+    else:
+        line = to_json_line(classification_record(r, 0, outcome))
+        head = line[: line.rindex('"n":"') + 5]
+    return head, f'","r":"{r}"}}'
 
 
 def classification_line(r: int, n: int, outcome: Classification) -> str:
     """The jsonl line of one classification, without its newline: byte for
-    byte to_json_line(classification_record(r, n, outcome)).  A sylvester
-    or order outcome fills a fixed template; the rare others take the
-    general path."""
-    if type(outcome) is SylvesterPrime:
-        return _SYLVESTER_LINE % (outcome.k0, outcome.p, n, r)
-    if type(outcome) is OrderCertificate:
-        return _ORDER_LINE % (outcome.j, outcome.p, n, r)
-    return to_json_line(classification_record(r, n, outcome))
+    byte to_json_line(classification_record(r, n, outcome))."""
+    head, tail = _json_parts(r, outcome)
+    return f"{head}{n}{tail}"
 
 
 def to_csv_row(rec: dict) -> list[str]:
@@ -120,18 +130,27 @@ _DETAILS = {
 }
 
 
-def to_human_line(rec: dict) -> str:
+def _human_tail(rec: dict) -> str:
+    """What follows n in the human line of rec."""
     if rec["classification"] == "certified_nonintegral":
         cert = rec["certificate"]
-        return f"(r={rec['r']}, n={rec['n']}) nonintegral [{_DETAILS[cert['type']].format(**cert)}]"
-    return f"(r={rec['r']}, n={rec['n']}) INTEGRAL"
+        return f") nonintegral [{_DETAILS[cert['type']].format(**cert)}]"
+    return ") INTEGRAL"
 
 
-# The line of one classification in each scan format.  csv fields are digits
-# and lowercase names, which the csv module writes unquoted.
-LINE_FORMATS: dict[str, Callable[[int, int, Classification], str]] = {
-    "jsonl": classification_line,
-    "csv": lambda r, n, outcome: ",".join(to_csv_row(classification_record(r, n, outcome))),
-    "human": lambda r, n, outcome: to_human_line(classification_record(r, n, outcome)),
+def to_human_line(rec: dict) -> str:
+    return f"(r={rec['r']}, n={rec['n']}{_human_tail(rec)}"
+
+
+# The line of n for classify's outcome in each scan format is head + decimal
+# n + tail, and LINE_FORMATS[fmt](r, outcome) returns (head, tail): they
+# depend on r and the outcome alone, so consecutive n that share an outcome
+# format it once.  The csv and human heads are the fields before n; the
+# record of n = 0 stands for every n there, as their tails do not read it.
+# csv fields are digits and lowercase names, which the csv module writes
+# unquoted.
+LINE_FORMATS: dict[str, Callable[[int, Classification], tuple[str, str]]] = {
+    "jsonl": _json_parts,
+    "csv": lambda r, outcome: (f"{r},", "," + ",".join(to_csv_row(classification_record(r, 0, outcome))[2:])),
+    "human": lambda r, outcome: (f"(r={r}, n=", _human_tail(classification_record(r, 0, outcome))),
 }
-

@@ -260,7 +260,40 @@ def test_order_certificate_smallest_prime_then_index():
         else:
             assert (cert.p, cert.j) == expected, (r, n)
             paths.add(cert.p < _TRIAL_LIMIT)
-    assert paths == {True, False}  # both the walk and the factoring search decided cases
+    assert paths == {True, False}  # primes below and above _TRIAL_LIMIT decided cases
+
+
+# n = 2**62 + offset at r = 7 where no prime below _TRIAL_LIMIT qualifies,
+# with the (p, j) the factoring search finds: the walk on to 2**16 decides
+# most of them, and the factoring search the rest
+_ORDER_FALLBACKS = {
+    414: (1153, 5), 13339: (1051, 1), 30301: (4703, 3), 37047: (31231, 7), 41094: (58427, 7),
+    50919: (6079, 6), 94222: (24691, 1), 106325: (1021, 6),
+    35694: (426586907, 7), 41093: (71081, 2), 66871: (117617, 5),
+}
+
+
+def test_order_walk_past_the_trial_primes_matches_the_factoring_search(monkeypatch):
+    cases = [(7, 2**62 + offset) for offset in _ORDER_FALLBACKS]
+    # inside the 1132-long prime gap after p, where no trial prime exceeds r
+    p = 1693182318746371
+    cases += [(1000, p), (1100, p + 7), (1130, p + 1)]
+    factored = []
+    monkeypatch.setattr(certify, "_factorize", lambda m: factored.append(m) or factorize(m))
+    found = []
+    for r, n in cases:
+        assert certify._order_walk(certify._TRIAL_PRIMES, r, n) is None, (r, n)
+        factored.clear()
+        cert = order_certificate(r, n)
+        # only an answer past the walk's bound costs a factoring search
+        assert bool(factored) == (cert.p >= certify._ORDER_WALK_BOUND), (r, n)
+        assert (cert.p, cert.j) == brute_order_certificate(r, n), (r, n)
+        assert cert.verify(r, n)
+        found.append(cert.p)
+    assert [_ORDER_FALLBACKS[n - 2**62][0] for _, n in cases[:-3]] == found[:-3]
+    assert found[-3:] == [1009, 1103, 1151]
+    # both sides of the walk's bound decided cases
+    assert {p < certify._ORDER_WALK_BOUND for p in found} == {True, False}
 
 
 def test_order_search_needs_no_factorization_of_p_minus_1(monkeypatch):
@@ -336,7 +369,7 @@ def tested(monkeypatch):
         return is_prime(m)
 
     monkeypatch.setattr(ntheory, "is_prime", counting_is_prime)
-    monkeypatch.setattr(ntheory, "_next_prime_memo", (0, 2))
+    monkeypatch.setattr(ntheory, "_next_prime_memo", (0, 2, (0, 2)))
     return tested
 
 
@@ -430,10 +463,10 @@ def test_sylvester_pointer_matches_the_walk():
 
 def test_classify_does_not_depend_on_cache_history(monkeypatch):
     window = range(2**62 + 5000, 2**62 + 5300)
-    monkeypatch.setattr(ntheory, "_next_prime_memo", (0, 2))
+    monkeypatch.setattr(ntheory, "_next_prime_memo", (0, 2, (0, 2)))
     ascending = [classify(7, n) for n in window]
     warm_descending = [classify(7, n) for n in reversed(window)][::-1]
-    monkeypatch.setattr(ntheory, "_next_prime_memo", (0, 2))
+    monkeypatch.setattr(ntheory, "_next_prime_memo", (0, 2, (0, 2)))
     cold_descending = [classify(7, n) for n in reversed(window)][::-1]
     warm_ascending = [classify(7, n) for n in window]
     assert ascending == warm_descending == cold_descending == warm_ascending

@@ -4,13 +4,22 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from binsum.certify import Integral, SylvesterPrime, classify
+from binsum.certify import DenominatorPrime, Integral, SylvesterPrime, classify
 from binsum.cli import main
-from binsum.records import certificate_from_record, classification_line
+from binsum.records import (
+    certificate_from_record,
+    classification_kind,
+    classification_line,
+    classification_record,
+    to_csv_row,
+    to_human_line,
+    to_json_line,
+)
 
 
 def run_cli(args):
@@ -728,6 +737,51 @@ def test_certify_prints_what_a_one_n_scan_prints(r, n, kind, fmt, capsys):
     assert run_cli(["scan", "--r", str(r), "--n-start", str(n), "--n-end", str(n), "--threads", "1",
                     "--format", fmt]) == code
     assert capsys.readouterr().out == certified
+
+
+_PER_RECORD_LINES = {
+    "jsonl": to_json_line,
+    "csv": lambda rec: ",".join(to_csv_row(rec)),
+    "human": to_human_line,
+}
+
+
+def per_record_text(r, ns, fmt, outcome_of):
+    """A chunk's text and counts the slow way: one record per n, each
+    encoded on its own."""
+    outcomes = [outcome_of(r, n) for n in ns]
+    text = "".join(_PER_RECORD_LINES[fmt](classification_record(r, n, o)) + "\n" for n, o in zip(ns, outcomes))
+    return Counter(classification_kind(o) for o in outcomes), text
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv", "human"])
+def test_chunk_text_is_the_per_record_text(fmt, monkeypatch):
+    import binsum.cli as cli_mod
+
+    kinds = Counter()
+    for r, lo, width in [(23, 1, 3000), (7, 2**62, 600), (7, 2**62 + 13330, 40), (1, 1, 513), (10**6, 1, 300)]:
+        ns = range(lo, lo + width)
+        for i in range(0, width, 512):
+            chunk = ns[i : i + 512]
+            assert cli_mod._classify_chunk((r, chunk, fmt)) == per_record_text(r, chunk, fmt, classify), (r, chunk)
+        kinds.update(classify(r, n).kind for n in ns)
+    assert kinds["sylvester"] > 1000 and kinds["order"] > 500
+    # the outcomes no scan has reached: denominator certificates and
+    # Integral, alone and in runs that share one object, next to real ones
+    shared = {"denominator": DenominatorPrime(p=3), "integral": Integral()}
+
+    def fake_classify(r, n):
+        if n % 10 in (3, 4):
+            return shared["denominator" if n % 20 < 10 else "integral"]
+        if n % 10 == 7:
+            return DenominatorPrime(p=5) if n % 20 < 10 else Integral()
+        return classify(r, n)
+
+    monkeypatch.setattr(cli_mod, "classify", fake_classify)
+    chunk = range(100, 160)
+    counts, text = cli_mod._classify_chunk((23, chunk, fmt))
+    assert (counts, text) == per_record_text(23, chunk, fmt, fake_classify)
+    assert counts["integral"] == 9 and text.count("denominator") == 9
 
 
 @pytest.mark.parametrize("text", ["1/", "/2", "0/1", "1/0", "a/2", "1/2/3"])

@@ -301,9 +301,79 @@ def test_next_prime_matches_a_plain_sieve_in_any_query_order(band, monkeypatch):
     expected = sieved_next_primes(band, band + 3000)
     ns = list(expected)
     for order, arrange in _QUERY_ORDERS.items():
-        monkeypatch.setattr(ntheory, "_next_prime_memo", (0, 2))
+        monkeypatch.setattr(ntheory, "_next_prime_memo", (0, 2, (0, 2)))
         queries = arrange(ns)
         assert [next_prime(n) for n in queries] == [expected[n] for n in queries], order
+
+
+def walked_next_primes(a, b):
+    """{n: least prime above n, or None past 2**64 - 59} for a <= n < b, by
+    a plain is_prime walk: the answer for n is n + 1 when that is prime, and
+    the answer for n + 1 otherwise."""
+    p = next((m for m in range(b, U64_LIMIT) if is_prime(m)), None)
+    answers = {}
+    for n in range(b - 1, a - 1, -1):
+        if n + 1 < U64_LIMIT and is_prime(n + 1):
+            p = n + 1
+        answers[n] = p
+    return answers
+
+
+_SIEVE_RULE = 2**24 - ntheory._PRIME_WINDOW  # next_prime sieves a window for n below this
+
+
+@pytest.mark.parametrize("a, b", [
+    (0, 13_000),                              # the first windows, from 0 on
+    (10**6 - 500, 10**6 + 9000),              # windows that start where a query lands
+    (_SIEVE_RULE - 6000, _SIEVE_RULE + 6000),  # both sides of the sieve rule
+    (U64_LIMIT - 200, U64_LIMIT),             # the walk, and None past 2**64 - 59
+])
+def test_next_prime_matches_the_is_prime_walk_across_windows(a, b, monkeypatch):
+    expected = walked_next_primes(a, b)
+    ns = sorted(expected)
+    rng = random.Random(a)
+    orders = {
+        "increasing": ns,
+        "decreasing": ns[::-31],
+        "scattered": rng.sample(ns, min(300, len(ns))) + [n for n in ns[::97] for _ in range(2)],
+    }
+    for order, queries in orders.items():
+        monkeypatch.setattr(ntheory, "_next_prime_memo", (0, 2, (0, 2)))
+        windows = set()
+        for n in queries:
+            assert next_prime(n) == expected[n], (order, n)
+            windows.add(ntheory._next_prime_memo[2][0])
+        if order == "increasing" and a < _SIEVE_RULE:
+            assert len(windows) >= 3  # the scan crossed window edges
+
+
+def test_next_prime_window_ends_inside_a_prime_gap(monkeypatch):
+    p, gap = 4652353, 154  # the largest prime gap below 2**24
+    assert walked_next_primes(p, p + 1) == {p: p + gap}
+    start = p + 60 - ntheory._PRIME_WINDOW  # its window (start, p + 60] ends inside the gap
+    expected = walked_next_primes(start, p + gap + 20)
+    monkeypatch.setattr(ntheory, "_next_prime_memo", (0, 2, (0, 2)))
+    assert next_prime(start) == expected[start]
+    assert ntheory._next_prime_memo[2][0] == start and ntheory._next_prime_memo[2][-1] == p
+    for n in range(start, p + gap + 20):
+        assert next_prime(n) == expected[n], n
+        if n == p:  # at the window's last prime a new window starts
+            assert ntheory._next_prime_memo[2][:2] == (p, p + gap)
+
+
+def test_next_prime_sieves_below_its_rule_and_walks_above(monkeypatch):
+    tested = []
+    monkeypatch.setattr(ntheory, "is_prime", lambda m: tested.append(m) or is_prime(m))
+    for n, sieved in ((_SIEVE_RULE - 1, True), (_SIEVE_RULE, False)):
+        monkeypatch.setattr(ntheory, "_next_prime_memo", (0, 2, (0, 2)))
+        tested.clear()
+        p = next_prime(n)
+        assert p == walked_next_primes(n, n + 1)[n]
+        window = ntheory._next_prime_memo[2]
+        if sieved:
+            assert tested == [] and window[0] == n and len(window) > 100
+        else:
+            assert tested == list(range(n + 1, p + 1)) and window == (n, p)
 
 
 def test_next_prime_at_the_ends_of_its_domain():
