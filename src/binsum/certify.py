@@ -47,10 +47,10 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import islice
 from math import comb, lcm
-from typing import Optional, Sequence, Union, get_args
+from typing import Optional, Union, get_args
 
 from .exact import _int_valuation
-from .ntheory import U64_LIMIT, _TRIAL_LIMIT, _TRIAL_PRIMES, _factorize, is_prime, next_prime, primes_upto
+from .ntheory import U64_LIMIT, _PRIME_TABLE, _TRIAL_LIMIT, _factorize, is_prime, next_prime, primes_upto
 
 # Cost guard for direct summation; C(n, k) and the lcm of the denominators
 # grow superexponentially in n.
@@ -213,11 +213,12 @@ def sylvester_certificate(r: int, n: int) -> Optional[SylvesterPrime]:
     every smaller prime above n was examined and failed.  It stops at
     min(n + r, 2n + _TRIAL_LIMIT), so it covers O(n) integers even when r is
     far above n.  The cap can exceed 2**64 - 59, the largest prime below
-    2**64, where next_prime returns None and the walk ends.  While r <= n + _TRIAL_LIMIT the cap is n + r, so the walk sees
-    every qualifying prime and finds one.  Only a larger r can leave it
-    empty; a search then factors every r + k and takes the smallest prime
-    factor above n, with its k.  That search sees every prime > n dividing
-    the window, so it returns the same minimum as an uncapped walk.
+    2**64, where next_prime returns None and the walk ends.  While
+    r <= n + _TRIAL_LIMIT the cap is n + r, so the walk sees every
+    qualifying prime and finds one.  Only a larger r can leave it empty; a
+    search then factors every r + k and takes the smallest prime factor
+    above n, with its k.  That search sees every prime > n dividing the
+    window, so it returns the same minimum as an uncapped walk.
     """
     _check_instance(r, n)
     if n >= r:
@@ -231,20 +232,6 @@ def sylvester_certificate(r: int, n: int) -> Optional[SylvesterPrime]:
         q = next_prime(q)
     p, v = min((q, v) for v in range(r + 1, r + n + 1) for q, _ in _factorize(v) if q > n)
     return _sylvester_prime(p, v - r)
-
-
-# order_certificate walks the primes below this bound before it factors.
-_ORDER_WALK_BOUND = 1 << 16
-
-
-def _order_walk(primes: Sequence[int], r: int, n: int) -> Optional[OrderCertificate]:
-    """The first prime q > r of the ascending primes that qualifies for an
-    order certificate, tested by one reduced power (order_certificate)."""
-    for q in islice(primes, bisect_right(primes, r), None):
-        j = -n % q or q
-        if j <= r and pow(2, (n + j) % (q - 1) + q - 1, q) != 1:
-            return OrderCertificate(p=q, j=j)
-    return None
 
 
 def order_certificate(r: int, n: int) -> Optional[OrderCertificate]:
@@ -261,22 +248,23 @@ def order_certificate(r: int, n: int) -> Optional[OrderCertificate]:
     give pow(2, 0, 2) = 1.  The factoring search and OrderCertificate.verify
     keep the unreduced power, so verify stays an independent re-check.
 
-    The walk tries the primes q > r ascending, first those below
-    _TRIAL_LIMIT, then those in [_TRIAL_LIMIT, _ORDER_WALK_BOUND = 2**16).
-    As q > r, at most one n + j (1 <= j <= r) is a multiple of q: the one
-    with j = (-n mod q) or q, provided j <= r.  The first q that qualifies
-    is the smallest qualifying prime overall: the smaller primes above r
-    were examined and failed, the primes <= r never qualify, and every prime
-    not examined is >= 2**16 > q.  Only when no prime below 2**16 qualifies
-    does the search factor every n + j.  That search is complete on its own
-    and is the reference the tests compare the walk against.  Its minimum
-    is then a prime >= 2**16, the least qualifying prime overall as well, so
+    The walk is one pass over _PRIME_TABLE, the primes below 2**16, from
+    the first q > r (none for r >= 65521, the largest of them).  As q > r,
+    at most one n + j (1 <= j <= r) is a multiple of q: the one with
+    j = (-n mod q) or q, provided j <= r.  The first q that qualifies is the
+    smallest qualifying prime overall: the smaller primes above r were
+    examined and failed, the primes <= r never qualify, and every prime not
+    examined is >= 2**16 > q.  Only when no prime below 2**16 qualifies does
+    the search factor every n + j.  That search is complete on its own and
+    is the reference the tests compare the walk against.  Its minimum is
+    then a prime >= 2**16, the least qualifying prime overall as well, so
     the result does not depend on where the walk stops.
     """
     _check_instance(r, n)
-    found = _order_walk(_TRIAL_PRIMES, r, n) or _order_walk(primes_upto(_ORDER_WALK_BOUND - 1)[len(_TRIAL_PRIMES) :], r, n)
-    if found is not None:
-        return found
+    for q in islice(_PRIME_TABLE, bisect_right(_PRIME_TABLE, r), None):
+        j = -n % q or q
+        if j <= r and pow(2, (n + j) % (q - 1) + q - 1, q) != 1:
+            return OrderCertificate(p=q, j=j)
     qualifying = ((q, j) for j in range(1, r + 1) for q, _ in _factorize(n + j) if q > r and pow(2, n + j, q) != 1)
     best = min(qualifying, default=None)
     return OrderCertificate(p=best[0], j=best[1]) if best else None

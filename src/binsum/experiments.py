@@ -149,7 +149,7 @@ def verify_tuple(w: TupleWitness, gcd_exp: tuple[int, int] = GCD_EXP) -> TupleCh
         if p <= 2 or p >= U64_LIMIT or not is_prime(p):
             fails.append(f"p={p} is not an odd prime")
             continue
-        if p <= r or power_compare(p - r, r, inum, iden) > 0:
+        if r < 2 or p <= r or power_compare(p - r, r, inum, iden) > 0:
             fails.append(f"p={p} outside (r, r + r**({inum}/{iden})]")
         orders.append(t := order2(p))
         if idx < len(w.orders) and w.orders[idx] != t:

@@ -24,8 +24,6 @@ _DENSE_ROOT_LIMIT = 1 << 22
 # Sinclair's seven Miller-Rabin bases, deterministic for every m < 2**64.
 _MR_WITNESSES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 
-_TINY_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
 _TRIAL_LIMIT = 1000          # trial-divide by all primes below this first
 _SEGMENT = 1 << 18           # segment width for windowed sieving
 
@@ -60,16 +58,17 @@ def is_prime(m: int) -> bool:
     cache: the scans that walk integers do so through next_prime's memo.
 
     Miller-Rabin runs only on m >= 10**6 with no prime factor below
-    _TRIAL_LIMIT = 1000.  The tiny primes go first, one remainder each,
-    which is cheaper than the gcd below on the many m they divide.  Then
-    g = gcd(m, _TRIAL_PRODUCT), the product of the primes below 1000.  If
-    g != 1, some prime p < 1000 divides m, and m is prime iff m = p, that is
-    iff m is one of those primes.  If g = 1, m has no prime factor below
-    1000.  A composite m has a prime factor <= isqrt(m), so such a composite
-    is >= 1009**2 (1009 is the least prime above 1000) > 10**6.  Hence
-    every m < 10**6 with g = 1 is 1 or a prime.  Above that, Miller-Rabin to
-    the seven bases of _MR_WITNESSES is exact: Sinclair's set has no strong
-    pseudoprime below 2**64.
+    _TRIAL_LIMIT = 1000.  The tiny primes 2..37 go first, one remainder
+    each, cheaper than the gcd below on the many m they divide; an m they
+    pass has no prime factor below 41.  Then g = gcd(m, _TRIAL_PRODUCT), the
+    product of the primes below 1000.  If g != 1, a prime p < 1000 divides
+    m: an m < 1000 is prime, as a composite would be >= 41**2 > 1000, and an
+    m >= 1000 is not, as p < m divides it.  If g = 1, m has no prime factor
+    below 1000.  A composite m has a prime factor <= isqrt(m), so such a
+    composite is >= 1009**2 (1009 is the least prime above 1000) > 10**6.
+    Hence every m < 10**6 with g = 1 is 1 or a prime.  Above that,
+    Miller-Rabin to the seven bases of _MR_WITNESSES is exact: Sinclair's
+    set has no strong pseudoprime below 2**64.
     """
     if not 1 <= m < U64_LIMIT:
         raise ValueError(f"is_prime domain is [1, 2**64): got {m}")
@@ -77,7 +76,7 @@ def is_prime(m: int) -> bool:
         if m % p == 0:
             return m == p
     if math.gcd(m, _TRIAL_PRODUCT) != 1:
-        return m in _TRIAL_SET
+        return m < _TRIAL_LIMIT
     if m < _TRIAL_LIMIT**2:
         return m > 1
     d = m - 1
@@ -291,6 +290,9 @@ def primes_in(a: int, b: int) -> list[int]:
     return out
 
 
-_TRIAL_PRIMES = tuple(primes_upto(_TRIAL_LIMIT))
-_TRIAL_SET = frozenset(_TRIAL_PRIMES)
+# The primes below 2**16, fixed at import: order_certificate walks them, and
+# is_prime and _factorize trial-divide by their head.
+_PRIME_TABLE = tuple(primes_upto(2**16 - 1))
+_TINY_PRIMES = _PRIME_TABLE[:12]  # 2..37
+_TRIAL_PRIMES = _PRIME_TABLE[: bisect_right(_PRIME_TABLE, _TRIAL_LIMIT)]
 _TRIAL_PRODUCT = math.prod(_TRIAL_PRIMES)

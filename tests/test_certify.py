@@ -231,7 +231,7 @@ def order_cases():
     for band in (10**12, 2**62):  # the scan bands: the small-prime walk decides almost all
         for _ in range(40):
             yield rng.randrange(1, 40), band + rng.randrange(10**9)
-    # r straddling _TRIAL_LIMIT: the walk has only 991 and 997, then nothing
+    # r straddling _TRIAL_LIMIT: the walk starts at 991, 997 or 1009 and goes on to 2**16
     for r in range(990, 1011):
         yield r, rng.randrange(1, 4000)
     for r in (995, 1003):
@@ -282,18 +282,38 @@ def test_order_walk_past_the_trial_primes_matches_the_factoring_search(monkeypat
     monkeypatch.setattr(certify, "_factorize", lambda m: factored.append(m) or factorize(m))
     found = []
     for r, n in cases:
-        assert certify._order_walk(certify._TRIAL_PRIMES, r, n) is None, (r, n)
+        expected = brute_order_certificate(r, n)
+        assert expected[0] > _TRIAL_LIMIT, (r, n)  # no prime below _TRIAL_LIMIT qualifies
         factored.clear()
         cert = order_certificate(r, n)
         # only an answer past the walk's bound costs a factoring search
-        assert bool(factored) == (cert.p >= certify._ORDER_WALK_BOUND), (r, n)
-        assert (cert.p, cert.j) == brute_order_certificate(r, n), (r, n)
+        assert bool(factored) == (cert.p >= 2**16), (r, n)
+        assert (cert.p, cert.j) == expected, (r, n)
         assert cert.verify(r, n)
         found.append(cert.p)
     assert [_ORDER_FALLBACKS[n - 2**62][0] for _, n in cases[:-3]] == found[:-3]
     assert found[-3:] == [1009, 1103, 1151]
     # both sides of the walk's bound decided cases
-    assert {p < certify._ORDER_WALK_BOUND for p in found} == {True, False}
+    assert {p < 2**16 for p in found} == {True, False}
+
+
+def test_order_walk_at_the_top_of_the_prime_table(monkeypatch):
+    # the table ends at 65521, the largest prime below 2**16: at r = 65519
+    # the walk holds 65521 alone, which divides n + 1 at n = 16 * 65521 - 1
+    # and no n + j at n = 16 * 65521; from r = 65521 on the walk is empty
+    assert ntheory._PRIME_TABLE[-2:] == (65519, 65521)
+    cases = [(65519, 16 * 65521 - 1), (65519, 16 * 65521), (65536, 10**6), (70001, 10**6 + 7)]
+    factored = []
+    monkeypatch.setattr(certify, "_factorize", lambda m: factored.append(m) or factorize(m))
+    found = []
+    for r, n in cases:
+        factored.clear()
+        cert = order_certificate(r, n)
+        assert bool(factored) == (cert.p >= 2**16), (r, n)
+        assert (cert.p, cert.j) == brute_order_certificate(r, n), (r, n)
+        assert cert.verify(r, n)
+        found.append(cert.p)
+    assert found[0] == 65521 and min(found[1:]) > 2**16
 
 
 def test_order_search_needs_no_factorization_of_p_minus_1(monkeypatch):

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from binsum.certify import DenominatorPrime, Integral, SylvesterPrime, classify
-from binsum.cli import main
+from binsum.cli import _SCAN_CHUNK, main
 from binsum.records import (
     certificate_from_record,
     classification_kind,
@@ -165,7 +165,7 @@ def _forged_700():
 
 
 @pytest.mark.parametrize("stored, code, complaint", [
-    (lambda lines: b"".join(lines[:512]), 0, "512 already present"),
+    (lambda lines: b"".join(lines[:_SCAN_CHUNK]), 0, f"{_SCAN_CHUNK} already present"),
     (lambda lines: b"".join(lines[:700]) + lines[700][:50], 0, "resumed.jsonl:701: dropping a torn final line"),
     (lambda lines: b"".join(lines[:699]) + _forged_700() + b"".join(lines[700:900]), 2,
      refusal("resumed.jsonl", 700, 23, 700)),
@@ -191,7 +191,7 @@ def test_scan_resume_starts_a_pool_of_two(one_shot_1300, pool_sizes, monkeypatch
 
     monkeypatch.setattr(cli_mod, "_usable_cpus", lambda: 2)
     path = tmp_path / "resumed.jsonl"
-    path.write_bytes(b"".join(one_shot_1300[:512]))
+    path.write_bytes(b"".join(one_shot_1300[:_SCAN_CHUNK]))
     assert run_cli(["scan", "--r", "23", "--n-start", "1", "--n-end", "1300", "--threads", "2", "--out", str(path)]) == 0
     assert pool_sizes == [2]
     assert path.read_bytes() == b"".join(one_shot_1300)
@@ -620,9 +620,9 @@ def test_scan_threads_default_to_the_usable_cpus(mask, pool_sizes, monkeypatch, 
         monkeypatch.setattr(cli_mod.os, "sched_getaffinity", lambda pid: mask, raising=False)
         pool_sizes.clear()
         # four chunks: a pool of len(mask) workers, or none for one worker
-        assert run_cli(["scan", "--r", "1", "--n-start", "1", "--n-end", "2048"]) == 0
+        assert run_cli(["scan", "--r", "1", "--n-start", "1", "--n-end", str(4 * _SCAN_CHUNK)]) == 0
         assert pool_sizes == ([len(mask)] if len(mask) > 1 else [])
-        assert len(capsys.readouterr().out.splitlines()) == 2048
+        assert len(capsys.readouterr().out.splitlines()) == 4 * _SCAN_CHUNK
 
 
 def test_the_parser_is_built_on_first_use_and_once_per_process(tmp_path):
@@ -759,10 +759,12 @@ def test_chunk_text_is_the_per_record_text(fmt, monkeypatch):
     import binsum.cli as cli_mod
 
     kinds = Counter()
-    for r, lo, width in [(23, 1, 3000), (7, 2**62, 600), (7, 2**62 + 13330, 40), (1, 1, 513), (10**6, 1, 300)]:
+    # widths of a full chunk and a part, and of one n past a chunk
+    for r, lo, width in [(23, 1, 3000), (7, 2**62, _SCAN_CHUNK + 88), (7, 2**62 + 13330, 40), (1, 1, _SCAN_CHUNK + 1),
+                         (10**6, 1, 300)]:
         ns = range(lo, lo + width)
-        for i in range(0, width, 512):
-            chunk = ns[i : i + 512]
+        for i in range(0, width, _SCAN_CHUNK):
+            chunk = ns[i : i + _SCAN_CHUNK]
             assert cli_mod._classify_chunk((r, chunk, fmt)) == per_record_text(r, chunk, fmt, classify), (r, chunk)
         kinds.update(classify(r, n).kind for n in ns)
     assert kinds["sylvester"] > 1000 and kinds["order"] > 500
@@ -844,12 +846,13 @@ def test_scan_pool_has_no_more_workers_than_chunks(pool_sizes, monkeypatch, caps
     import binsum.cli as cli_mod
 
     monkeypatch.setattr(cli_mod, "_usable_cpus", lambda: 3)
+    c = _SCAN_CHUNK
     for n_end, threads, expected in [
-        (600, 8, [2]),         # two chunks: two workers, not eight
-        (2000, 3, [3]),        # four chunks: as many workers as asked
-        (2048, 100_000, [3]),  # four chunks on three CPUs: three workers
-        (600, 1, []),          # one worker: no pool
-        (512, 8, []),          # one chunk: no pool
+        (c + 88, 8, [2]),         # two chunks: two workers, not eight
+        (4 * c - 48, 3, [3]),     # four chunks: as many workers as asked
+        (4 * c, 100_000, [3]),    # four chunks on three CPUs: three workers
+        (c + 88, 1, []),          # one worker: no pool
+        (c, 8, []),               # one chunk: no pool
     ]:
         pool_sizes.clear()
         assert run_cli(["scan", "--r", "23", "--n-start", "1", "--n-end", str(n_end), "--threads", str(threads)]) == 0

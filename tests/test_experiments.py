@@ -107,6 +107,11 @@ def test_verify_tuple_rejects_tampering():
     shifted = dataclasses.replace(w, r=10**6 + 50)  # first primes now below r
     assert not verify_tuple(shifted, RELAXED).conditions_ok
 
+    for r in (0, -5):  # a failing check, not a power_compare domain error
+        check = verify_tuple(dataclasses.replace(w, r=r), RELAXED)
+        assert not check.conditions_ok and not check.bound_ok
+        assert f"r={r} out of range" in check.failures
+
 
 def test_verify_tuple_reports_gcd_threshold_separately_from_bound():
     w = find_tuple(10**6, RELAXED).witness
