@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import combinations
 from math import gcd, lcm
 from typing import Optional
 
@@ -20,6 +21,7 @@ from .ntheory import U64_LIMIT, is_prime, next_prime, order2, primes_in, smooth_
 from .records import CLASSIFICATION_KINDS, classification_kind
 
 TUPLE_SIZE = 6
+_PAIRS = tuple(combinations(range(TUPLE_SIZE), 2))  # (i, j), i < j, lexicographic
 LCM_PREFIX = 4  # the lcm bound uses the four smallest primes of the tuple
 
 CENSUS_LIMIT = 10**7
@@ -105,11 +107,7 @@ def _select_tuple(r: int, candidates: list[int], gcd_exp: tuple[int, int]) -> Op
         return None
     primes = tuple(chosen)
     orders = tuple(order2(p) for p in primes)
-    pair_gcds = tuple(
-        gcd(primes[i] - 1, primes[j] - 1)
-        for i in range(TUPLE_SIZE)
-        for j in range(i + 1, TUPLE_SIZE)
-    )
+    pair_gcds = tuple(gcd(primes[i] - 1, primes[j] - 1) for i, j in _PAIRS)
     lcm_m = lcm(*primes[:LCM_PREFIX], *orders[:LCM_PREFIX])
     return TupleWitness(r=r, primes=primes, orders=orders, pair_gcds=pair_gcds, lcm_m=lcm_m)
 
@@ -123,55 +121,50 @@ class TupleCheck:
     bound_ok: bool
     failures: tuple[str, ...]
 
-    def __bool__(self) -> bool:
-        return self.conditions_ok and self.bound_ok
-
 
 def verify_tuple(w: TupleWitness, gcd_exp: tuple[int, int] = GCD_EXP) -> TupleCheck:
-    """Re-check every witness condition from scratch: primality, interval
-    membership, recomputed orders and pairwise gcds against their
-    thresholds, the stored lcm, and finally the lcm lower bound
-    M > r**(LCM_EXP)."""
+    """Re-check the witness from scratch.  Its shape (r >= 2, six increasing
+    primes, six orders, fifteen pair gcds) is checked first and reported
+    alone when it fails; then each prime's primality, interval and order, the
+    pair gcds, the stored lcm, and apart from these M > r**(LCM_EXP)."""
+    r, primes = w.r, w.primes
     fails: list[str] = []
-    r = w.r
     if r < 2:
         fails.append(f"r={r} out of range")
-    if len(w.primes) != TUPLE_SIZE:
-        fails.append(f"expected {TUPLE_SIZE} primes, got {len(w.primes)}")
-    if any(w.primes[i] >= w.primes[i + 1] for i in range(len(w.primes) - 1)):
+    if len(primes) != TUPLE_SIZE:
+        fails.append(f"expected {TUPLE_SIZE} primes, got {len(primes)}")
+    if any(p >= q for p, q in zip(primes, primes[1:])):
         fails.append("primes not strictly increasing")
-    if len(w.orders) != len(w.primes) or len(w.pair_gcds) != len(w.primes) * (len(w.primes) - 1) // 2:
-        fails.append("orders/pair_gcds length mismatch")
+    if (len(w.orders), len(w.pair_gcds)) != (TUPLE_SIZE, len(_PAIRS)):
+        fails.append(f"expected {TUPLE_SIZE} orders, {len(_PAIRS)} pair gcds: got {len(w.orders)}, {len(w.pair_gcds)}")
+    bound_ok = r >= 1 and w.lcm_m >= 1 and power_compare(w.lcm_m, r, *LCM_EXP) > 0
+    if fails:
+        return TupleCheck(conditions_ok=False, bound_ok=bound_ok, failures=tuple(fails))
 
     inum, iden = INTERVAL_EXP
     orders: list[int] = []  # recomputed, never read from w.orders
-    for idx, p in enumerate(w.primes):
+    for p, stored in zip(primes, w.orders):
         if p <= 2 or p >= U64_LIMIT or not is_prime(p):
             fails.append(f"p={p} is not an odd prime")
             continue
-        if r < 2 or p <= r or power_compare(p - r, r, inum, iden) > 0:
+        if p <= r or power_compare(p - r, r, inum, iden) > 0:
             fails.append(f"p={p} outside (r, r + r**({inum}/{iden})]")
         orders.append(t := order2(p))
-        if idx < len(w.orders) and w.orders[idx] != t:
-            fails.append(f"stored order {w.orders[idx]} != order2({p}) = {t}")
-        if r < 2 or power_compare(t, r, *ORDER_EXP) <= 0:
+        if stored != t:
+            fails.append(f"stored order {stored} != order2({p}) = {t}")
+        if power_compare(t, r, *ORDER_EXP) <= 0:
             fails.append(f"order2({p}) = {t} fails the order threshold")
 
-    if not fails:
-        k = 0
-        for i in range(TUPLE_SIZE):
-            for j in range(i + 1, TUPLE_SIZE):
-                g = gcd(w.primes[i] - 1, w.primes[j] - 1)
-                if w.pair_gcds[k] != g:
-                    fails.append(f"stored gcd {w.pair_gcds[k]} != gcd for pair ({i},{j}) = {g}")
-                if power_compare(g, r, *gcd_exp) >= 0:
-                    fails.append(f"gcd {g} for pair ({i},{j}) fails the gcd threshold")
-                k += 1
-        expected_lcm = lcm(*w.primes[:LCM_PREFIX], *orders[:LCM_PREFIX])
+    if not fails:  # then every prime passed, and orders holds all six
+        for (i, j), stored in zip(_PAIRS, w.pair_gcds):
+            g = gcd(primes[i] - 1, primes[j] - 1)
+            if stored != g:
+                fails.append(f"stored gcd {stored} != gcd for pair ({i},{j}) = {g}")
+            if power_compare(g, r, *gcd_exp) >= 0:
+                fails.append(f"gcd {g} for pair ({i},{j}) fails the gcd threshold")
+        expected_lcm = lcm(*primes[:LCM_PREFIX], *orders[:LCM_PREFIX])
         if w.lcm_m != expected_lcm:
             fails.append(f"stored lcm {w.lcm_m} != recomputed {expected_lcm}")
-
-    bound_ok = r >= 1 and w.lcm_m >= 1 and power_compare(w.lcm_m, r, *LCM_EXP) > 0
     return TupleCheck(conditions_ok=not fails, bound_ok=bound_ok, failures=tuple(fails))
 
 
@@ -185,10 +178,6 @@ class ScanReport:
     counts: dict[str, int] = field(default_factory=dict)
     cert_counts: dict[str, int] = field(default_factory=dict)
     integral_witnesses: list[int] = field(default_factory=list)
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts.values())
 
 
 def scan_density(r: int, n_lo: int, n_hi: int) -> ScanReport:

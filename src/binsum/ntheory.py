@@ -37,8 +37,8 @@ def primes_upto(n: int) -> list[int]:
     """All primes <= n, ascending, for every n < 2**26; any larger n raises
     ValueError, whatever the cache holds.  From an unwarmed cache, growing
     to 2**27 would sieve a window wider than WINDOW_LIMIT, so the answer for
-    2**26 <= n < 2**27 would otherwise depend on earlier calls.  A call above
-    the cache grows it to the next power of two, limit, by
+    2**26 < n <= 2**27 would otherwise depend on earlier calls.  A call above
+    the cache grows it to the least power of two >= n, limit, by
     primes_in(_small_limit + 1, limit).  That call may grow the cache first,
     which is safe: the old list is read before primes_in runs, and primes_in
     needs only the primes <= isqrt(limit), so the nested calls end at the
@@ -47,7 +47,7 @@ def primes_upto(n: int) -> list[int]:
     if n >= _SMALL_CEILING:
         raise ValueError(f"primes_upto serves n < 2**26: got {n}")
     if n > _small_limit:
-        limit = 1 << n.bit_length()
+        limit = 1 << (n - 1).bit_length()
         _small_primes = _small_primes + primes_in(_small_limit + 1, limit)
         _small_limit = limit
     return _small_primes[: bisect_right(_small_primes, n)]
@@ -250,14 +250,14 @@ def smooth_divisor(r: int, m: int) -> int:
         return 1
     if r <= 4096:
         s = 1
-        for p in primes_upto(r):
-            if p * p > m:
+        for p in _PRIME_TABLE:
+            if p > r or p * p > m:
                 break
             while m % p == 0:
                 m //= p
                 s *= p
         # what is left of m is 1 or a prime when the loop broke at p * p > m,
-        # and has no prime factor <= r when it did not
+        # and has no prime factor <= r when it broke at p > r
         return s * m if m <= r else s
     return math.prod(p**e for p, e in _factorize(m) if p <= r)
 

@@ -111,13 +111,6 @@ def _json_parts(r: int, outcome: Classification) -> tuple[str, str]:
     return head, f'","r":"{r}"}}'
 
 
-def classification_line(r: int, n: int, outcome: Classification) -> str:
-    """The jsonl line of one classification, without its newline: byte for
-    byte to_json_line(classification_record(r, n, outcome))."""
-    head, tail = _json_parts(r, outcome)
-    return f"{head}{n}{tail}"
-
-
 def to_csv_row(rec: dict) -> list[str]:
     cert = rec.get("certificate", {})
     return [rec["r"], rec["n"], rec["classification"]] + [cert.get(key, "") for key in ("type", "p", "k0", "j")]

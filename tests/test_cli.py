@@ -14,7 +14,6 @@ from binsum.cli import _SCAN_CHUNK, main
 from binsum.records import (
     certificate_from_record,
     classification_kind,
-    classification_line,
     classification_record,
     to_csv_row,
     to_human_line,
@@ -159,7 +158,7 @@ def one_shot_1300(tmp_path):
 
 
 def _forged_700():
-    line = classification_line(23, 700, SylvesterPrime(p=7, k0=1))  # 7 does not divide k0 + r = 24
+    line = to_json_line(classification_record(23, 700, SylvesterPrime(p=7, k0=1)))  # 7 does not divide k0 + r = 24
     assert not SylvesterPrime(p=7, k0=1).verify(23, 700)
     return line.encode() + b"\n"
 
@@ -565,7 +564,7 @@ def test_scan_resume_refuses_a_certificate_the_scan_does_not_write(r, n, cert, v
     # a canonical line with any other certificate than classify's would make
     # the finished file differ from a one-shot scan, or carry a false proof
     assert cert.verify(r, n) is valid and classify(r, n) != cert
-    text = classification_line(r, n, cert) + "\n"
+    text = to_json_line(classification_record(r, n, cert)) + "\n"
     path = tmp_path / "scan.jsonl"
     path.write_text(text)
     assert run_cli(["scan", "--r", str(r), "--n-start", str(n), "--n-end", str(n + 5), "--out", str(path)]) == 2
@@ -872,7 +871,7 @@ def test_scan_resume_refuses_a_malformed_record(field, value, tmp_path, capsys):
     def line():
         return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
-    assert line() == classification_line(4, 10, classify(4, 10))
+    assert line() == to_json_line(classification_record(4, 10, classify(4, 10)))
     record[field] = value
     path = tmp_path / "scan.jsonl"
     path.write_text(line() + "\n")

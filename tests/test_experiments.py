@@ -15,6 +15,7 @@ from binsum.experiments import (
     LCM_EXP,
     ORDER_EXP,
     TUPLE_SIZE,
+    _PAIRS,
     _select_tuple,
     find_tuple,
     gap_probe,
@@ -79,7 +80,7 @@ def test_find_tuple_relaxed_gcd_finds_witness():
     assert w.primes == (1000003, 1000033, 1000037, 1000039, 1000081, 1000099)
     assert len(w.pair_gcds) == 15
     check = verify_tuple(w, RELAXED)
-    assert check.conditions_ok and check.bound_ok and bool(check)
+    assert check.conditions_ok and check.bound_ok
     # deterministic: a rerun reproduces the same witness
     assert find_tuple(10**6, RELAXED).witness == w
 
@@ -107,10 +108,35 @@ def test_verify_tuple_rejects_tampering():
     shifted = dataclasses.replace(w, r=10**6 + 50)  # first primes now below r
     assert not verify_tuple(shifted, RELAXED).conditions_ok
 
-    for r in (0, -5):  # a failing check, not a power_compare domain error
-        check = verify_tuple(dataclasses.replace(w, r=r), RELAXED)
-        assert not check.conditions_ok and not check.bound_ok
-        assert f"r={r} out of range" in check.failures
+
+@pytest.mark.parametrize("change, failure, bound_ok", [
+    (lambda w: {"primes": w.primes[:5]}, "expected 6 primes, got 5", True),
+    (lambda w: {"primes": w.primes + (w.primes[-1] + 2,)}, "expected 6 primes, got 7", True),
+    (lambda w: {"primes": (w.primes[1], w.primes[0]) + w.primes[2:]}, "primes not strictly increasing", True),
+    (lambda w: {"orders": w.orders[:5]}, "expected 6 orders, 15 pair gcds: got 5, 15", True),
+    (lambda w: {"pair_gcds": w.pair_gcds[:14]}, "expected 6 orders, 15 pair gcds: got 6, 14", True),
+    (lambda w: {"r": 0}, "r=0 out of range", False),
+    (lambda w: {"r": 1}, "r=1 out of range", True),  # bound_ok as ever: M > 1**x holds
+    (lambda w: {"r": -5}, "r=-5 out of range", False),
+], ids=["5-primes", "7-primes", "non-increasing", "5-orders", "14-pair-gcds", "r=0", "r=1", "r=-5"])
+def test_verify_tuple_reports_a_shape_defect_alone(change, failure, bound_ok):
+    # each witness differs from a verified one in its shape alone, so no
+    # later check runs: none reads an index past a short tuple, and none
+    # hands power_compare an r below 2
+    w = find_tuple(10**6, RELAXED).witness
+    check = verify_tuple(dataclasses.replace(w, **change(w)), RELAXED)
+    assert check.failures == (failure,)
+    assert not check.conditions_ok
+    assert check.bound_ok is bound_ok
+
+
+def test_pairs_are_the_lexicographic_pairs_of_the_tuple():
+    # TupleWitness.pair_gcds documents this order; _select_tuple stores and
+    # verify_tuple reads the gcds in it
+    assert len(_PAIRS) == 15
+    assert _PAIRS == tuple((i, j) for i in range(TUPLE_SIZE) for j in range(i + 1, TUPLE_SIZE))
+    w = find_tuple(10**6, RELAXED).witness
+    assert w.pair_gcds == tuple(gcd(w.primes[i] - 1, w.primes[j] - 1) for i, j in _PAIRS)
 
 
 def test_verify_tuple_reports_gcd_threshold_separately_from_bound():
@@ -124,13 +150,13 @@ def test_verify_tuple_reports_gcd_threshold_separately_from_bound():
 def test_scan_density_single_instance():
     rep = scan_density(2, 1, 1)
     assert rep.counts["certified_nonintegral"] == 1
-    assert rep.total == 1
+    assert sum(rep.counts.values()) == 1
     assert rep.integral_witnesses == []
 
 
 def test_scan_density_range():
     rep = scan_density(1, 1, 100)
-    assert rep.total == 100
+    assert sum(rep.counts.values()) == 100
     assert rep.counts == {"certified_nonintegral": 100, "integral": 0}
     assert sum(rep.cert_counts.values()) == rep.counts["certified_nonintegral"]
     assert rep.cert_counts["denominator"] == 0 and rep.integral_witnesses == []
@@ -290,7 +316,8 @@ def test_tuple_search_matches_a_per_pair_power_compare(r, gcd_exp):
     assert (res.witness and res.witness.primes) == expected
     assert _select_tuple(r, candidates, gcd_exp) == res.witness
     if expected:
-        assert verify_tuple(res.witness, gcd_exp)
+        check = verify_tuple(res.witness, gcd_exp)
+        assert check.conditions_ok and check.bound_ok
 
 
 def test_m_of_r_rejects_oversized_work():

@@ -104,11 +104,21 @@ def test_primes_upto_grows_its_cache_to_a_plain_sieve(monkeypatch):
     reference = plain_sieve((1 << 13) + 1)
     for n in [0, 1, 2] + [m for k in range(1, 14) for m in ((1 << k) - 1, 1 << k, (1 << k) + 1)]:
         assert primes_upto(n) == reference[: bisect.bisect_right(reference, n)], n
-    # from the seeded cache, one call grows it to 2**23 and, nested in that
-    # growth, to the 2**12 its base primes need
+    # from the seeded cache, one call grows it to 2**22 and, nested in that
+    # growth, to the 2**11 its base primes need
     monkeypatch.setattr(ntheory, "_small_primes", [2, 3, 5, 7])
     monkeypatch.setattr(ntheory, "_small_limit", 10)
     assert primes_upto(1 << 22) == plain_sieve(1 << 22)
+
+
+def test_primes_upto_grows_its_cache_to_a_power_of_two_n_and_no_further(monkeypatch):
+    # the least power of two >= n: a power of two n is the limit itself
+    monkeypatch.setattr(ntheory, "_small_primes", [2, 3, 5, 7])
+    monkeypatch.setattr(ntheory, "_small_limit", 10)
+    assert primes_upto(1 << 12) == plain_sieve(1 << 12)
+    assert ntheory._small_limit == 1 << 12
+    assert primes_upto((1 << 12) + 1) == plain_sieve((1 << 12) + 1)
+    assert ntheory._small_limit == 1 << 13
 
 
 @pytest.mark.parametrize("limit", [1 << 26, 1 << 27])

@@ -18,10 +18,10 @@ from binsum.certify import (
 )
 from binsum.records import (
     CLASSIFICATION_KINDS,
+    LINE_FORMATS,
     certificate_from_record,
     certificate_record,
     classification_kind,
-    classification_line,
     classification_record,
     record,
     to_json_line,
@@ -33,11 +33,13 @@ def reference(r, n, outcome):
 
 
 def assert_lines_match(cases):
-    """classification_line equals the general encoder on every case; returns
-    the kinds seen (the certificate type, or "integral")."""
+    """The jsonl scan line, LINE_FORMATS["jsonl"]'s head + n + tail, equals
+    the general encoder on every case; returns the kinds seen (the
+    certificate type, or "integral")."""
     seen = Counter()
     for r, n, outcome in cases:
-        assert classification_line(r, n, outcome) == reference(r, n, outcome), (r, n, outcome)
+        head, tail = LINE_FORMATS["jsonl"](r, outcome)
+        assert f"{head}{n}{tail}" == reference(r, n, outcome), (r, n, outcome)
         seen[outcome.kind] += 1
     return seen
 
